@@ -70,14 +70,6 @@ type MachineConfig struct {
 	// pipeline traffic contend with its neighbours.
 	ModelTransitCongestion bool
 
-	// Shards partitions the event engine's pending-event set across that
-	// many timeline shards, synchronized with conservative lookahead
-	// (the topology's minimum link latency). Simulated output is
-	// byte-identical for every value — sharding trades a small
-	// synchronization overhead for flat per-event cost at large NPU
-	// counts. <= 1 (the default) runs the serial engine.
-	Shards int
-
 	// Memory optionally configures local-memory timing and a
 	// disaggregated pool.
 	Memory *MemoryConfig
@@ -112,11 +104,6 @@ type PoolConfig struct {
 type Machine struct {
 	top  *topology.Topology
 	core core.Config
-	// memo caches whole-machine collective sub-results across this
-	// machine's runs (and across goroutines — sweeps share machines), so
-	// repeated workloads replay identical collectives instead of
-	// re-simulating them. Results are byte-identical either way.
-	memo *collective.Memo
 }
 
 // NewMachine validates the configuration and builds a machine.
@@ -158,13 +145,12 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		Memory:                 mem,
 		Policy:                 policy,
 		Chunks:                 cfg.Chunks,
-		Shards:                 cfg.Shards,
 		ModelTransitCongestion: cfg.ModelTransitCongestion,
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{top: top, core: c, memo: collective.NewMemo()}, nil
+	return &Machine{top: top, core: c}, nil
 }
 
 func buildMemory(cfg MachineConfig) (memory.System, error) {
@@ -477,7 +463,6 @@ func (m *Machine) run(w Workload, timeline bool) (*Report, *core.RunStats, error
 	}
 	cfg := m.core
 	cfg.RecordTimeline = timeline
-	cfg.Memo = m.memo
 	sim, err := core.NewSimulator(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -420,3 +420,41 @@ func TestTransitCongestionSlowsStridedPipelines(t *testing.T) {
 		t.Errorf("transit congestion should slow multi-hop pipeline traffic: %v vs %v", with, without)
 	}
 }
+
+// TestRunOrderIndependence pins that a Machine carries no state from one
+// Run to the next: a mix of workloads run in sequence on one machine
+// reports byte for byte what each workload reports on a fresh machine.
+func TestRunOrderIndependence(t *testing.T) {
+	configs := []MachineConfig{
+		{Topology: "R(4)_FC(4)_SW(4)", BandwidthsGBps: []float64{250, 100, 50}},
+		{Topology: "T2D(4,4)_SW(4)", BandwidthsGBps: []float64{500, 50}},
+	}
+	mix := []Workload{
+		Iterations(Collective("all_reduce", 64<<20), 4),
+		DLRM(),
+		Transformer(1.3e9, 2, 2048, 1024, 1, 2, 4),
+	}
+	report := func(m *Machine, w Workload) []byte {
+		t.Helper()
+		rep, err := m.Run(w)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		out, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, cfg := range configs {
+		shared := testMachine(t, cfg)
+		for _, w := range mix {
+			inSequence := report(shared, w)
+			fresh := report(testMachine(t, cfg), w)
+			if !bytes.Equal(inSequence, fresh) {
+				t.Errorf("%s on %s: run after others differs from a fresh machine:\nsequence %s\nfresh    %s",
+					w.Name(), cfg.Topology, inSequence, fresh)
+			}
+		}
+	}
+}

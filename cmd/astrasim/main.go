@@ -121,7 +121,6 @@ func main() {
 		scenPath   = flag.String("scenario", "", "run a failure/straggler scenario from this JSON spec (astrasim.ScenarioSpec) and report slowdown vs the clean run")
 		baselines  = flag.Bool("slowdowns", true, "with -cluster, also run isolated baselines and report per-job slowdowns")
 		parallel   = flag.Int("parallel", 0, "sweep/search worker count; 0 = all cores (results identical for any value)")
-		shards     = flag.Int("shards", 0, "event-engine timeline shards; 0/1 = serial (results byte-identical for any value)")
 		csvOut     = flag.Bool("csv", false, "print the sweep or search result as CSV")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
@@ -159,9 +158,6 @@ func main() {
 	}
 
 	cfg, err := machineConfig(*configPath, *topo, *bw, *scheduler, *tflops)
-	if *shards > 1 {
-		cfg.Shards = *shards
-	}
 	if err != nil {
 		fatal(err)
 	}

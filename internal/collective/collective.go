@@ -108,16 +108,6 @@ type Engine struct {
 	identScratch []int
 	orderScratch []int
 	usedScratch  []bool
-
-	// Phase memoization (see memo.go). memo is the shared cross-run cache;
-	// rec tracks the collective currently being recorded; active is the
-	// in-flight replayed collective, if any.
-	memo      *Memo
-	keyPrefix string
-	rec       *memoRec
-	active    *memoReplay
-	hookFn    func() // cached cancelReplay closure (hook + schedule watch)
-	hookID    int    // registry id of the armed activity hook
 }
 
 // Option configures an Engine.
@@ -213,15 +203,6 @@ type collectiveRun struct {
 //   - AllGather(S):      every member starts with S/|group|; ends with S.
 //   - AllToAll(S):       every member exchanges a total of S bytes.
 func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) error {
-	if e.active != nil {
-		// A second collective is starting while a replay is in flight: its
-		// phases would observe the fast-forwarded ledger. Fall back to live.
-		e.cancelReplay()
-	}
-	if e.rec != nil {
-		// A concurrent collective makes the in-flight recording impure.
-		e.rec = nil
-	}
 	if size <= 0 {
 		return fmt.Errorf("collective: non-positive size %d", size)
 	}
@@ -241,21 +222,6 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 	}
 	if n < 2 {
 		return fmt.Errorf("collective: group of size %d; need at least 2 members", n)
-	}
-	// Memoization: a whole-machine fixed-scheduler collective starting on a
-	// quiet engine is a pure function of its key. Replay a cached result,
-	// or record this run for the next identical one. (Themis is excluded:
-	// its planning reads the floating-point projected ledger, whose residue
-	// could perturb tie-breaks across contexts.)
-	var rec *memoRec
-	if e.memo != nil && full && e.policy != Themis && e.memoEligible() {
-		key := e.memoKey(op, size)
-		if ent := e.memo.lookup(key); ent != nil {
-			e.replayMemo(ent, op, size, g, done)
-			return nil
-		}
-		rec = &memoRec{key: key, start: e.net.Now(), startFired: e.net.EventsFired()}
-		e.net.SnapshotLedger(&rec.ledger)
 	}
 	run := &collectiveRun{
 		op:      op,
@@ -338,10 +304,6 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		run.chunks = int(startSize) // never create sub-byte chunks
 	}
 	run.pending = run.chunks
-	if rec != nil {
-		rec.run = run
-		e.rec = rec
-	}
 	// Under the fixed scheduler every chunk follows the same phase order,
 	// so the whole wave shares one read-only plan; only Themis plans per
 	// chunk (its load accumulators evolve between chunks).
@@ -547,9 +509,6 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 	completion := serEnd + dim.PhaseLatency(sp.K)
 	// The chunk is its own timeline event: no closure per phase hop.
 	e.net.ScheduleActor(completion-e.net.Now(), cs)
-	if e.rec != nil && e.rec.run == run {
-		e.rec.scheduled++
-	}
 }
 
 func (e *Engine) finish(run *collectiveRun) {
@@ -559,9 +518,6 @@ func (e *Engine) finish(run *collectiveRun) {
 				e.projected[m][sp.Phys] -= run.contrib[si]
 			}
 		}
-	}
-	if e.rec != nil && e.rec.run == run {
-		e.maybeStoreMemo(run)
 	}
 	res := Result{
 		Op:            run.op,

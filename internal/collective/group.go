@@ -55,8 +55,11 @@ func NewGroup(top *topology.Topology, dims []int, base int) (Group, error) {
 	return NewSpanGroup(top, spans, base)
 }
 
-// NewSpanGroup builds a group from explicit spans, validating that every
-// member lands inside the topology without wrapping.
+// NewSpanGroup builds a group from explicit spans. Every span's footprint
+// (K × Stride) must divide its physical dimension, so the span's groups
+// partition the dimension: every rank then belongs to exactly one group
+// instance, each member lands inside the topology without wrapping, and
+// validity does not depend on the base rank.
 func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error) {
 	if len(spans) == 0 {
 		return Group{}, fmt.Errorf("collective: group must have at least one span")
@@ -64,7 +67,6 @@ func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error)
 	if base < 0 || base >= top.NumNPUs() {
 		return Group{}, fmt.Errorf("collective: base rank %d out of range", base)
 	}
-	baseCoord := top.Coord(base)
 	for i, s := range spans {
 		if s.Phys < 0 || s.Phys >= top.NumDims() {
 			return Group{}, fmt.Errorf("collective: span %d physical dim %d out of range", i, s.Phys)
@@ -75,10 +77,10 @@ func NewSpanGroup(top *topology.Topology, spans []Span, base int) (Group, error)
 		if s.Stride < 1 {
 			return Group{}, fmt.Errorf("collective: span %d needs stride >= 1, got %d", i, s.Stride)
 		}
-		reach := baseCoord[s.Phys]%s.Stride + (s.K-1)*s.Stride
-		if reach >= top.Dims[s.Phys].Size {
-			return Group{}, fmt.Errorf("collective: span %d (K=%d, stride=%d) exceeds dim %d size %d",
-				i, s.K, s.Stride, s.Phys, top.Dims[s.Phys].Size)
+		// Bounding K and Stride first keeps the product from overflowing.
+		if size := top.Dims[s.Phys].Size; s.K > size || s.Stride > size || size%(s.K*s.Stride) != 0 {
+			return Group{}, fmt.Errorf("collective: span %d footprint K*stride = %d*%d does not divide dim %d size %d",
+				i, s.K, s.Stride, s.Phys, size)
 		}
 	}
 	return Group{Spans: append([]Span(nil), spans...), Base: base}, nil

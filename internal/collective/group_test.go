@@ -84,6 +84,11 @@ func TestSpanGroupValidation(t *testing.T) {
 		{"k too small", []Span{{Phys: 0, K: 1, Stride: 1}}, 0},
 		{"zero stride", []Span{{Phys: 0, K: 2, Stride: 0}}, 0},
 		{"overflow", []Span{{Phys: 0, K: 64, Stride: 16}}, 0}, // 63*16 >= 512
+		// 3 does not divide 512: the last partial group would wrap, so
+		// some rank's rendezvous could never complete.
+		{"non-dividing footprint", []Span{{Phys: 0, K: 3, Stride: 1}}, 0},
+		{"non-dividing strided footprint", []Span{{Phys: 0, K: 2, Stride: 3}}, 0},
+		{"huge k*stride", []Span{{Phys: 0, K: 1 << 40, Stride: 1 << 40}}, 0},
 		{"bad base", []Span{{Phys: 0, K: 2, Stride: 1}}, 9999},
 	}
 	for _, c := range cases {

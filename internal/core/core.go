@@ -37,19 +37,6 @@ type Config struct {
 	Policy collective.Policy
 	// Chunks is the collective pipelining depth (default 64).
 	Chunks int
-	// Shards selects the event engine driving this simulator: <= 1 runs
-	// the serial engine, larger values a sharded engine whose pending-event
-	// set is partitioned across that many timeline shards, synchronized
-	// with conservative lookahead (the topology's minimum link latency).
-	// Simulated output is byte-identical for every value; sharding pays
-	// off at large NPU counts, where heap maintenance dominates. Ignored
-	// by NewSimulatorOn, which drives whatever engine the caller supplies.
-	Shards int
-	// Memo, when non-nil, caches whole-machine collective sub-results
-	// across runs sharing the table — sweep and search re-evaluations
-	// replay identical collectives instead of re-simulating them. Output
-	// is byte-identical with or without it.
-	Memo *collective.Memo
 	// CollectiveLogLimit caps how many collective results are retained in
 	// the run stats (default 1024; 0 keeps none).
 	CollectiveLogLimit int
@@ -74,10 +61,8 @@ type Config struct {
 	// Scenario, when non-nil, injects timed infrastructure perturbations —
 	// link degradation/restoration, link/NPU failures, compute stragglers —
 	// as events on the simulator's timeline, with times relative to the
-	// trace's release. Every event counts as foreign activity on the
-	// network backend, so memoized collective replays roll back across
-	// perturbations; a scenario with no events leaves the run byte-identical
-	// to a clean one.
+	// trace's release. A scenario with no events leaves the run
+	// byte-identical to a clean one.
 	Scenario *scenario.Scenario
 }
 
@@ -196,7 +181,7 @@ func (s RunStats) MeanBreakdown() Breakdown {
 // each keeps its own network backend, collective engine and trace state.
 type Simulator struct {
 	cfg  Config
-	eng  timeline.Scheduler
+	eng  *timeline.Engine
 	net  *network.Backend
 	coll *collective.Engine
 
@@ -204,6 +189,12 @@ type Simulator struct {
 
 	rendezvous map[rendezvousKey]*pendingCollective
 	collSeq    map[collSeqKey]int
+
+	// groups holds each trace communicator's validated spans, resolved
+	// once in Start; fullSpans serves nodes without a GroupRef (the whole
+	// machine).
+	groups    map[*et.GroupRef][]collective.Span
+	fullSpans []collective.Span
 
 	collLog   []collective.Result
 	remaining int
@@ -255,42 +246,16 @@ type pendingCollective struct {
 }
 
 // NewSimulator builds a simulator for the given machine configuration,
-// driven by its own private event engine — serial, or sharded per
-// Config.Shards.
+// driven by its own private event engine.
 func NewSimulator(cfg Config) (*Simulator, error) {
-	eng := timeline.ForShards(cfg.Shards)
-	if cfg.Topology != nil {
-		ApplyLookahead(eng, cfg.Topology)
-	}
-	return NewSimulatorOn(eng, cfg)
-}
-
-// ApplyLookahead configures a sharded engine's conservative
-// synchronization window from the machine it will simulate: the topology's
-// minimum link latency, below which no NPU can react to another, so
-// batching a window of that width never reorders observable events (the
-// engine re-syncs on shorter-range self-scheduling regardless — the window
-// only sets the batch size, never correctness). Serial engines are
-// unaffected.
-func ApplyLookahead(eng timeline.Scheduler, top *topology.Topology) {
-	sg, ok := eng.(*timeline.ShardGroup)
-	if !ok {
-		return
-	}
-	var min units.Time
-	for i, d := range top.Dims {
-		if i == 0 || d.Latency < min {
-			min = d.Latency
-		}
-	}
-	sg.SetLookahead(min)
+	return NewSimulatorOn(timeline.New(), cfg)
 }
 
 // NewSimulatorOn builds a simulator driven by an existing engine, so
 // several simulators — the jobs of a multi-tenant cluster — can interleave
 // on one shared timeline. The caller runs the engine itself and collects
 // each simulator's statistics with Finalize.
-func NewSimulatorOn(eng timeline.Scheduler, cfg Config) (*Simulator, error) {
+func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -305,8 +270,7 @@ func NewSimulatorOn(eng timeline.Scheduler, cfg Config) (*Simulator, error) {
 	net.SetFlowController(cfg.FlowController)
 	coll := collective.NewEngine(net,
 		collective.WithPolicy(cfg.Policy),
-		collective.WithChunks(cfg.Chunks),
-		collective.WithMemo(cfg.Memo))
+		collective.WithChunks(cfg.Chunks))
 	return &Simulator{
 		cfg:        cfg,
 		eng:        eng,
@@ -348,6 +312,9 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	}
 	if at < s.eng.Now() {
 		return fmt.Errorf("core: start time %v is in the engine's past (now %v)", at, s.eng.Now())
+	}
+	if err := s.resolveGroups(trace); err != nil {
+		return err
 	}
 	s.startAt = at
 
@@ -661,10 +628,7 @@ func (s *Simulator) markFree(st *npuState, counter *int) {
 // issueCollective implements the rendezvous protocol and launches the
 // collective when the last member arrives.
 func (s *Simulator) issueCollective(st *npuState, n *et.Node) {
-	group, err := s.resolveGroup(n, st.rank)
-	if err != nil {
-		panic(fmt.Sprintf("core: npu %d node %d: %v", st.rank, n.ID, err))
-	}
+	group := s.group(n, st.rank)
 	sig := group.Signature(s.cfg.Topology)
 	if n.InSwitch {
 		sig = "insw/" + sig
@@ -765,19 +729,51 @@ func mapCollective(c et.CollectiveType) collective.Op {
 	}
 }
 
-// resolveGroup turns a trace GroupRef into a concrete communicator group
-// rooted at the issuing NPU.
-func (s *Simulator) resolveGroup(n *et.Node, rank int) (collective.Group, error) {
-	if n.Group == nil || len(n.Group.Spans) == 0 {
-		g := collective.FullMachine(s.cfg.Topology)
-		g.Base = rank
-		return g, nil
+// resolveGroups validates every collective node's communicator against
+// the machine before any event fires, so a malformed group span fails
+// Start instead of the run. Span validity does not depend on the issuing
+// rank (see collective.NewSpanGroup), so each distinct GroupRef is resolved
+// once for every rank that issues it, and a node list shared by several
+// ranks (symmetric traces) is scanned once.
+func (s *Simulator) resolveGroups(trace *et.Trace) error {
+	top := s.cfg.Topology
+	s.fullSpans = collective.FullMachine(top).Spans
+	s.groups = make(map[*et.GroupRef][]collective.Span)
+	var scanned []*et.Node
+	for _, g := range trace.Graphs {
+		if len(g.Nodes) == 0 || (len(g.Nodes) == len(scanned) && &g.Nodes[0] == &scanned[0]) {
+			continue
+		}
+		scanned = g.Nodes
+		for _, n := range g.Nodes {
+			if n.Kind != et.KindComm || n.Group == nil || len(n.Group.Spans) == 0 {
+				continue
+			}
+			if _, ok := s.groups[n.Group]; ok {
+				continue
+			}
+			spans := make([]collective.Span, len(n.Group.Spans))
+			for i, sp := range n.Group.Spans {
+				spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
+			}
+			grp, err := collective.NewSpanGroup(top, spans, g.NPU)
+			if err != nil {
+				return fmt.Errorf("core: npu %d node %d: %w", g.NPU, n.ID, err)
+			}
+			s.groups[n.Group] = grp.Spans
+		}
 	}
-	spans := make([]collective.Span, len(n.Group.Spans))
-	for i, sp := range n.Group.Spans {
-		spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
+	return nil
+}
+
+// group returns the communicator group a collective node names, rooted at
+// the issuing NPU. Its spans were resolved by resolveGroups.
+func (s *Simulator) group(n *et.Node, rank int) collective.Group {
+	spans := s.fullSpans
+	if n.Group != nil && len(n.Group.Spans) > 0 {
+		spans = s.groups[n.Group]
 	}
-	return collective.NewSpanGroup(s.cfg.Topology, spans, rank)
+	return collective.Group{Spans: spans, Base: rank}
 }
 
 // complete finishes a node and unlocks its children.

@@ -492,3 +492,40 @@ func TestShuffledNodeListMatchesSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedGroupSpansFailStart checks that a collective whose group
+// span cannot partition the machine fails Start with an error, before any
+// event fires, instead of panicking mid-run or ending in a rendezvous
+// deadlock.
+func TestMalformedGroupSpansFailStart(t *testing.T) {
+	cases := []struct {
+		name string
+		span et.SpanRef
+		want string
+	}{
+		{"dim out of range", et.SpanRef{Phys: 5, K: 2, Stride: 1}, "out of range"},
+		{"zero stride", et.SpanRef{Phys: 0, K: 2, Stride: 0}, "stride"},
+		{"k does not divide dim", et.SpanRef{Phys: 0, K: 3, Stride: 1}, "does not divide"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			trace := symmetricTrace(4, func(int) []*et.Node {
+				return []*et.Node{{
+					ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce,
+					CommBytes: int64(units.MB), Group: &et.GroupRef{Spans: []et.SpanRef{c.span}},
+				}}
+			})
+			sim, err := NewSimulator(testConfig(t, ring4Top()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sim.Start(trace, 0)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Start error = %v, want one mentioning %q", err, c.want)
+			}
+			if sim.eng.Pending() != 0 || sim.eng.Fired() != 0 {
+				t.Errorf("failed Start left %d events queued, %d fired", sim.eng.Pending(), sim.eng.Fired())
+			}
+		})
+	}
+}

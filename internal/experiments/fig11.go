@@ -142,7 +142,7 @@ func fig11ZeroPool() memory.PoolConfig {
 }
 
 // runFig11System simulates one MoE-1T iteration on one system.
-func runFig11System(useInSwitch bool, pool memory.PoolConfig, shards int) (*core.RunStats, error) {
+func runFig11System(useInSwitch bool, pool memory.PoolConfig) (*core.RunStats, error) {
 	top := fig11Topology()
 	cfg := etgen.MoE1T(useInSwitch)
 	trace, err := etgen.MoETrace(top, cfg)
@@ -159,9 +159,7 @@ func runFig11System(useInSwitch bool, pool memory.PoolConfig, shards int) (*core
 		},
 		Policy:             collective.Baseline,
 		Chunks:             32,
-		Shards:             shards,
 		CollectiveLogLimit: 1,
-		Memo:               collMemo,
 	})
 	if err != nil {
 		return nil, err
@@ -221,7 +219,7 @@ func Fig11(o Options) (*Fig11Result, error) {
 			if inSwitch {
 				pool = fig11Pool(256, 100)
 			}
-			stats, err := runFig11System(inSwitch, pool, o.Shards)
+			stats, err := runFig11System(inSwitch, pool)
 			if err != nil {
 				return fig11Cell{}, err
 			}
@@ -256,7 +254,7 @@ func Fig11(o Options) (*Fig11Result, error) {
 		Axes: []sweep.Axis{floatAxis("in_node_gbps", inNodeGrid), floatAxis("remote_gbps", remoteGrid)},
 		Cell: func(pt sweep.Point) (fig11Cell, error) {
 			pool := fig11Pool(inNodeGrid[pt.Index("in_node_gbps")], remoteGrid[pt.Index("remote_gbps")])
-			stats, err := runFig11System(true, pool, o.Shards)
+			stats, err := runFig11System(true, pool)
 			if err != nil {
 				return fig11Cell{}, err
 			}

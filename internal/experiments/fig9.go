@@ -92,11 +92,6 @@ type Options struct {
 	// an optional cross-experiment result cache, and progress callbacks.
 	// Results are deterministic for any worker count.
 	Exec sweep.Exec
-	// Shards selects the event engine driving each simulation (see
-	// core.Config.Shards): <= 1 serial, larger values sharded. Simulated
-	// output is byte-identical for every value, which is why sweep-cache
-	// fingerprints deliberately ignore it.
-	Shards int
 }
 
 func (o Options) layersDivisor() int {
@@ -157,9 +152,7 @@ func runCell(sys System, wl Workload, policy collective.Policy, o Options) (Cell
 		},
 		Policy:             policy,
 		Chunks:             o.chunks(),
-		Shards:             o.Shards,
 		CollectiveLogLimit: 1,
-		Memo:               collMemo,
 	})
 	if err != nil {
 		return Cell{}, err

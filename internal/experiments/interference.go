@@ -154,7 +154,6 @@ func runInterferenceCell(sys System, wl Workload, n int, o Options) (Interferenc
 			Compute:   npuModel(),
 			Memory:    interferenceMemory(wl),
 			Chunks:    o.chunks(),
-			Shards:    o.Shards,
 			Placement: cluster.Packed,
 		}
 		for j := 0; j < jobs; j++ {

@@ -57,7 +57,7 @@ func torusTopo(shape []int) (*topology.Topology, error) {
 	return topology.New(dims...)
 }
 
-func analyticalTorusAllReduce(shape []int, size units.ByteSize, shards int) (units.Time, time.Duration, error) {
+func analyticalTorusAllReduce(shape []int, size units.ByteSize) (units.Time, time.Duration, error) {
 	top, err := torusTopo(shape)
 	if err != nil {
 		return 0, 0, err
@@ -66,7 +66,7 @@ func analyticalTorusAllReduce(shape []int, size units.ByteSize, shards int) (uni
 	// A single chunk mirrors the cycle driver's bulk-synchronous step
 	// barriers, so the two backends simulate the same schedule and their
 	// simulated times are directly comparable.
-	res, _, err := runEngine(top, collective.AllReduce, size, 1, collective.Baseline, shards)
+	res, _, err := runEngine(top, collective.AllReduce, size, 1, collective.Baseline)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -109,10 +109,10 @@ func Speedup(size units.ByteSize, o Options) (*SpeedupResult, error) {
 				}
 				return speedupRun{Wall: time.Since(start), Sim: simTime, Cycles: cycles}, nil
 			case "analytical-4x4x4":
-				sim, wall, err := analyticalTorusAllReduce(out.SmallShape, size, o.Shards)
+				sim, wall, err := analyticalTorusAllReduce(out.SmallShape, size)
 				return speedupRun{Wall: wall, Sim: sim}, err
 			default:
-				sim, wall, err := analyticalTorusAllReduce(out.LargeShape, size, o.Shards)
+				sim, wall, err := analyticalTorusAllReduce(out.LargeShape, size)
 				return speedupRun{Wall: wall, Sim: sim}, err
 			}
 		},

@@ -60,7 +60,7 @@ type API interface {
 
 // Backend is the analytical network backend.
 type Backend struct {
-	eng timeline.Scheduler
+	eng *timeline.Engine
 	top *topology.Topology
 
 	// Link occupancy is kept as a dimension-level aggregate plus an
@@ -108,25 +108,12 @@ type Backend struct {
 	// cluster layer). Nil — the default — costs nothing on the hot path.
 	fc FlowController
 
-	// hooks fire before every state-touching operation (see
-	// AddActivityHook); hookSeq issues registry ids.
-	hooks   []activityHook
-	hookSeq int
-
 	// bwScale[dim], when allocated, scales each dimension's effective link
 	// bandwidth (the scenario layer's degradation primitive); nil means
-	// every dimension runs clean. scaledDims counts entries != 1 so
-	// QuietDims stays O(1) on the scale check.
-	bwScale    []float64
-	scaledDims int
+	// every dimension runs clean.
+	bwScale []float64
 
 	stats Stats
-}
-
-// activityHook is one registered observer; ids are never reused.
-type activityHook struct {
-	id int
-	fn func()
 }
 
 type matchKey struct {
@@ -161,7 +148,7 @@ type Stats struct {
 
 // NewBackend builds an analytical backend over a topology, driven by the
 // given event engine.
-func NewBackend(eng timeline.Scheduler, top *topology.Topology) *Backend {
+func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 	n, d := top.NumNPUs(), top.NumDims()
 	b := &Backend{
 		eng:        eng,
@@ -249,7 +236,6 @@ func (b *Backend) scaleDur(dim int, dur units.Time) units.Time {
 // incrementally, never rescanned. Out-of-range dimensions and non-positive
 // scales are ignored: scenario events degrade to no-ops rather than panic.
 func (b *Backend) SetDimBandwidthScale(dim int, scale float64) {
-	b.touchActivity()
 	if dim < 0 || dim >= b.dims || scale <= 0 {
 		return
 	}
@@ -261,16 +247,6 @@ func (b *Backend) SetDimBandwidthScale(dim int, scale float64) {
 		for i := range b.bwScale {
 			b.bwScale[i] = 1
 		}
-	}
-	old := b.bwScale[dim]
-	if old == scale {
-		return
-	}
-	if old == 1 {
-		b.scaledDims++
-	}
-	if scale == 1 {
-		b.scaledDims--
 	}
 	b.bwScale[dim] = scale
 }
@@ -292,7 +268,6 @@ func (b *Backend) DimBandwidthScale(dim int) float64 {
 // cached maximum are bumped incrementally (O(dims) work); out-of-range NPUs
 // are ignored so scenario events never panic.
 func (b *Backend) StallNPULinks(npu int, until units.Time) {
-	b.touchActivity()
 	if npu < 0 || npu >= b.npus {
 		return
 	}
@@ -339,7 +314,6 @@ func (b *Backend) Topology() *topology.Topology { return b.top }
 // folding any pending whole-machine phase traffic into the per-NPU matrices
 // first so callers always see fully materialized counts.
 func (b *Backend) Stats() *Stats {
-	b.touchActivity()
 	b.ensureStatsMatrices()
 	for d := 0; d < b.dims; d++ {
 		sent, recv := b.phaseSent[d], b.phaseRecv[d]
@@ -461,7 +435,6 @@ func (b *Backend) SendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 }
 
 func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sentCB func(), deliveredCB func(Message), sink deliverySink) {
-	b.touchActivity()
 	if src == dst {
 		panic(fmt.Sprintf("network: self-send on dim %d by NPU %d", dim, src))
 	}

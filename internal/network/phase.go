@@ -10,7 +10,6 @@ import (
 // member, mirroring synchronous training semantics. When the members are
 // the whole machine the answer comes from the dimension aggregates in O(1).
 func (b *Backend) PhaseAvailability(members []int, dim int) units.Time {
-	b.touchActivity()
 	t := b.eng.Now()
 	if f := b.dimFloor[dim]; f > t {
 		t = f
@@ -35,7 +34,6 @@ func (b *Backend) PhaseAvailability(members []int, dim int) units.Time {
 // PhaseAvailabilityAll is PhaseAvailability for a whole-machine phase,
 // without needing a member list. Always O(1).
 func (b *Backend) PhaseAvailabilityAll(dim int) units.Time {
-	b.touchActivity()
 	t := b.eng.Now()
 	if f := b.dimFloor[dim]; f > t {
 		t = f

@@ -131,15 +131,16 @@ func (g Group) Members(top *topology.Topology) []int {
 	return members
 }
 
-// Signature returns a canonical identity for the communicator instance:
-// two NPUs issuing "the same" collective produce equal signatures exactly
-// when they belong to the same group instance. It is the lowest member
-// rank — the group origin, computed arithmetically — plus the span layout,
-// so signing costs O(dims) rather than materializing the member list.
-func (g Group) Signature(top *topology.Topology) string {
-	coord := top.Coord(g.Base)
+// Origin returns the group instance's lowest member rank: the base rank
+// with each span's coordinate reset to the start of its stride footprint.
+// Two NPUs belong to the same instance of a span layout exactly when their
+// origins are equal, so (layout, origin) identifies a communicator. It is
+// computed arithmetically in O(dims) and allocates nothing.
+func (g Group) Origin(top *topology.Topology) int {
+	origin := g.Base
 	for _, s := range g.Spans {
-		coord[s.Phys] -= (coord[s.Phys] / s.Stride % s.K) * s.Stride
+		pos := top.DimPos(origin, s.Phys)
+		origin -= (pos / s.Stride % s.K) * s.Stride * top.DimStride(s.Phys)
 	}
-	return fmt.Sprintf("%d/%v", top.Rank(coord), g.Spans)
+	return origin
 }

@@ -59,16 +59,47 @@ func TestSpanGroupBaseNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Signature(top) != b.Signature(top) {
-		t.Errorf("signatures differ: %q vs %q", a.Signature(top), b.Signature(top))
+	if a.Origin(top) != b.Origin(top) {
+		t.Errorf("origins differ: %d vs %d", a.Origin(top), b.Origin(top))
 	}
 	// Different instances must differ.
 	c, err := NewSpanGroup(top, []Span{{Phys: 0, K: 16, Stride: 1}}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Signature(top) == c.Signature(top) {
-		t.Error("distinct instances share a signature")
+	if a.Origin(top) == c.Origin(top) {
+		t.Error("distinct instances share an origin")
+	}
+}
+
+// Origin is the lowest member rank for every base of every instance, on
+// multi-dimensional topologies with strided and stacked spans too.
+func TestOriginIsLowestMember(t *testing.T) {
+	top := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Switch, Size: 8, Bandwidth: units.GBps(50)},
+	)
+	layouts := [][]Span{
+		{{Phys: 0, K: 4, Stride: 1}, {Phys: 1, K: 8, Stride: 1}},
+		{{Phys: 1, K: 2, Stride: 4}},
+		{{Phys: 0, K: 2, Stride: 1}, {Phys: 1, K: 2, Stride: 2}},
+		{{Phys: 1, K: 2, Stride: 1}, {Phys: 1, K: 2, Stride: 2}},
+	}
+	for _, spans := range layouts {
+		for base := 0; base < top.NumNPUs(); base++ {
+			g, err := NewSpanGroup(top, spans, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := g.Origin(top), g.Members(top)[0]; got != want {
+				t.Errorf("spans %v base %d: Origin = %d, want lowest member %d", spans, base, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = Group{Spans: layouts[0], Base: 13}.Origin(top)
+	}); allocs != 0 {
+		t.Errorf("Origin allocates %.1f objects, want 0", allocs)
 	}
 }
 

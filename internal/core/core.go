@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/collective"
@@ -188,13 +189,10 @@ type Simulator struct {
 	npus []*npuState
 
 	rendezvous map[rendezvousKey]*pendingCollective
-	collSeq    map[collSeqKey]int
 
-	// groups holds each trace communicator's validated spans, resolved
-	// once in Start; fullSpans serves nodes without a GroupRef (the whole
-	// machine).
-	groups    map[*et.GroupRef][]collective.Span
-	fullSpans []collective.Span
+	// layouts interns the trace's distinct communicator span layouts,
+	// validated once in Start; layouts[0] is the whole machine.
+	layouts [][]collective.Span
 
 	collLog   []collective.Result
 	remaining int
@@ -209,13 +207,39 @@ type Simulator struct {
 	finished units.Time
 }
 
+// graphTemplate is the read-only dependency structure of one node list,
+// built once in Start and shared by every rank whose graph uses that list:
+// a symmetric SPMD trace has a single template for the whole machine.
+// Nodes are addressed by their index in the list.
+type graphTemplate struct {
+	nodes []*et.Node
+	// indeg is each node's dependency count (a repeated dep counts twice).
+	indeg []int32
+	// children lists each node's dependents in node-list order, once per
+	// dep entry naming it.
+	children [][]int32
+	// roots are the initially ready nodes in ascending-ID order.
+	roots []int32
+	// commKey is a collective node's communicator key, layout*2+inSwitch:
+	// it indexes the issuing rank's sequence counters and, with the rank's
+	// group origin and that sequence, identifies the rendezvous.
+	commKey []int32
+}
+
+// Node states beyond a positive unmet-dependency count.
+const (
+	nodeIssued int32 = -1 // dispatched to its layer, not yet finished
+	nodeDone   int32 = -2
+)
+
 type npuState struct {
-	rank      int
-	indeg     map[int]int
-	children  map[int][]*et.Node
-	nodes     map[int]*et.Node
-	completed map[int]bool
-	pending   int
+	rank int
+	tmpl *graphTemplate
+	// state holds each template node's unmet-dependency count, or
+	// nodeIssued / nodeDone.
+	state []int32
+	// collSeq counts the collectives issued per communicator key.
+	collSeq []int32
 
 	// Activity counters for exposed-time attribution.
 	nCompute, nComm, nRemote, nLocal int
@@ -228,21 +252,19 @@ type npuState struct {
 	recording bool
 }
 
+// rendezvousKey names one logical collective: the seq-th issued on the
+// communicator instance with the given key and origin (lowest member).
 type rendezvousKey struct {
-	sig string
-	seq int
-}
-
-type collSeqKey struct {
-	rank int
-	sig  string
+	key    int32
+	origin int
+	seq    int32
 }
 
 type pendingCollective struct {
 	group   collective.Group
 	members []int
 	arrived int
-	nodes   map[int]*et.Node // rank -> node to complete
+	nodes   []int32 // per member position: the node index to complete
 }
 
 // NewSimulator builds a simulator for the given machine configuration,
@@ -277,7 +299,6 @@ func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 		net:        net,
 		coll:       coll,
 		rendezvous: make(map[rendezvousKey]*pendingCollective),
-		collSeq:    make(map[collSeqKey]int),
 	}, nil
 }
 
@@ -313,37 +334,34 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	if at < s.eng.Now() {
 		return fmt.Errorf("core: start time %v is in the engine's past (now %v)", at, s.eng.Now())
 	}
-	if err := s.resolveGroups(trace); err != nil {
+	tmpls, err := s.buildTemplates(trace)
+	if err != nil {
 		return err
 	}
 	s.startAt = at
 
 	s.npus = make([]*npuState, trace.NumNPUs)
-	graphs := make([]*et.Graph, trace.NumNPUs)
+	total := 0
 	for _, g := range trace.Graphs {
-		graphs[g.NPU] = g
+		total += len(g.Nodes)
 	}
-	for rank, g := range graphs {
-		st := &npuState{
-			rank:      rank,
-			indeg:     make(map[int]int, len(g.Nodes)),
-			children:  make(map[int][]*et.Node, len(g.Nodes)),
-			nodes:     make(map[int]*et.Node, len(g.Nodes)),
-			completed: make(map[int]bool, len(g.Nodes)),
-			pending:   len(g.Nodes),
+	// One arena holds every rank's node state; each rank starts from its
+	// template's dependency counts.
+	arena := make([]int32, 0, total)
+	for i, g := range trace.Graphs {
+		tmpl := tmpls[i]
+		lo := len(arena)
+		arena = append(arena, tmpl.indeg...)
+		s.npus[g.NPU] = &npuState{
+			rank:      g.NPU,
+			tmpl:      tmpl,
+			state:     arena[lo:len(arena):len(arena)],
+			collSeq:   make([]int32, 2*len(s.layouts)),
 			lastTouch: at,
 			recording: s.cfg.RecordTimeline,
 		}
-		for _, n := range g.Nodes {
-			st.nodes[n.ID] = n
-			st.indeg[n.ID] = len(n.Deps)
-			for _, d := range n.Deps {
-				st.children[d] = append(st.children[d], n)
-			}
-		}
-		s.npus[rank] = st
-		s.remaining += st.pending
 	}
+	s.remaining = total
 
 	// Schedule scenario events before the release so perturbations due at
 	// the release instant apply before the first nodes issue — a t=0
@@ -360,9 +378,9 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	}
 
 	if at == s.eng.Now() {
-		s.release(graphs)
+		s.release()
 	} else {
-		s.eng.ScheduleAt(at, func() { s.release(graphs) })
+		s.eng.ScheduleAt(at, s.release)
 	}
 	return nil
 }
@@ -389,41 +407,139 @@ func (s *Simulator) applyScenarioEvent(ev scenario.Event) {
 	}
 }
 
-// release issues every initially ready node in ascending-ID order. The
-// trace builders assign IDs in insertion order, so for every generated
-// (and round-tripped) trace the node list already IS that order and no
-// sort runs; externally authored traces with a shuffled node list fall
-// back to sorting so their issue order — and therefore their simulated
-// output — is independent of list order.
-func (s *Simulator) release(graphs []*et.Graph) {
-	for rank, g := range graphs {
-		st := s.npus[rank]
-		ascending := true
-		for i := 1; i < len(g.Nodes); i++ {
-			if g.Nodes[i].ID < g.Nodes[i-1].ID {
-				ascending = false
-				break
-			}
-		}
-		if ascending {
-			for _, n := range g.Nodes {
-				if st.indeg[n.ID] == 0 {
-					s.issue(st, n)
-				}
-			}
-			continue
-		}
-		ids := make([]int, 0, len(g.Nodes))
-		for _, n := range g.Nodes {
-			if st.indeg[n.ID] == 0 {
-				ids = append(ids, n.ID)
-			}
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			s.issue(st, st.nodes[id])
+// release issues every rank's initially ready nodes, rank by rank, in
+// ascending-ID order within a rank, so the issue order — and therefore the
+// simulated output — is independent of node-list order.
+func (s *Simulator) release() {
+	for _, st := range s.npus {
+		for _, i := range st.tmpl.roots {
+			s.issue(st, i)
 		}
 	}
+}
+
+// buildTemplates validates every collective node against the machine and
+// returns each trace graph's dependency template, building one per
+// distinct node list. Communicator layouts are interned by content into
+// s.layouts. Errors name the first NPU (in trace order) whose graph uses
+// the offending list.
+func (s *Simulator) buildTemplates(trace *et.Trace) ([]*graphTemplate, error) {
+	type listKey struct {
+		first **et.Node
+		n     int
+	}
+	s.layouts = [][]collective.Span{collective.FullMachine(s.cfg.Topology).Spans}
+	refs := make(map[*et.GroupRef]int32)
+	byList := make(map[listKey]*graphTemplate)
+	tmpls := make([]*graphTemplate, len(trace.Graphs))
+	for gi, g := range trace.Graphs {
+		var k listKey
+		if len(g.Nodes) > 0 {
+			k = listKey{first: &g.Nodes[0], n: len(g.Nodes)}
+		}
+		tmpl := byList[k]
+		if tmpl == nil {
+			var err error
+			if tmpl, err = s.newTemplate(g, refs); err != nil {
+				return nil, err
+			}
+			byList[k] = tmpl
+		}
+		tmpls[gi] = tmpl
+	}
+	return tmpls, nil
+}
+
+// newTemplate builds the dependency template of g's node list. The trace
+// has been validated, so IDs are unique and every dep names a node.
+func (s *Simulator) newTemplate(g *et.Graph, refs map[*et.GroupRef]int32) (*graphTemplate, error) {
+	nodes := g.Nodes
+	t := &graphTemplate{
+		nodes:    nodes,
+		indeg:    make([]int32, len(nodes)),
+		children: make([][]int32, len(nodes)),
+		commKey:  make([]int32, len(nodes)),
+	}
+	index := make(map[int]int32, len(nodes))
+	for i, n := range nodes {
+		index[n.ID] = int32(i)
+	}
+	for i, n := range nodes {
+		t.indeg[i] = int32(len(n.Deps))
+		for _, d := range n.Deps {
+			p := index[d]
+			t.children[p] = append(t.children[p], int32(i))
+		}
+		if len(n.Deps) == 0 {
+			t.roots = append(t.roots, int32(i))
+		}
+		if n.Kind == et.KindComm {
+			key, err := s.commKey(n, g.NPU, refs)
+			if err != nil {
+				return nil, err
+			}
+			t.commKey[i] = key
+		}
+	}
+	sort.Slice(t.roots, func(a, b int) bool { return nodes[t.roots[a]].ID < nodes[t.roots[b]].ID })
+	return t, nil
+}
+
+// commKey resolves a collective node's communicator to its interned layout
+// and checks the collective can run on it. Span validity does not depend
+// on the issuing rank (see collective.NewSpanGroup), so each GroupRef is
+// resolved once; layouts are interned by content because trace builders
+// allocate a GroupRef per node, and an explicit whole-machine layout is the
+// same communicator as no GroupRef at all.
+func (s *Simulator) commKey(n *et.Node, npu int, refs map[*et.GroupRef]int32) (int32, error) {
+	top := s.cfg.Topology
+	var layout int32
+	if n.Group != nil && len(n.Group.Spans) > 0 {
+		id, ok := refs[n.Group]
+		if !ok {
+			spans := make([]collective.Span, len(n.Group.Spans))
+			for i, sp := range n.Group.Spans {
+				spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
+			}
+			grp, err := collective.NewSpanGroup(top, spans, npu)
+			if err != nil {
+				return 0, fmt.Errorf("core: npu %d node %d: %w", npu, n.ID, err)
+			}
+			id = s.intern(grp.Spans)
+			refs[n.Group] = id
+		}
+		layout = id
+	}
+	if !s.fusedInSwitch(n) {
+		size := collective.Group{Spans: s.layouts[layout]}.Size()
+		op := mapCollective(n.Collective)
+		if collective.InitialShard(op, units.ByteSize(n.CommBytes), size) <= 0 {
+			return 0, fmt.Errorf("core: npu %d node %d: %v of %d bytes over %d members leaves an empty shard",
+				npu, n.ID, op, n.CommBytes, size)
+		}
+	}
+	key := 2 * layout
+	if n.InSwitch {
+		key++
+	}
+	return key, nil
+}
+
+// intern returns the index of the layout equal to spans, adding it if new.
+func (s *Simulator) intern(spans []collective.Span) int32 {
+	for i, l := range s.layouts {
+		if slices.Equal(l, spans) {
+			return int32(i)
+		}
+	}
+	s.layouts = append(s.layouts, spans)
+	return int32(len(s.layouts) - 1)
+}
+
+// fusedInSwitch reports whether a collective node runs fused in the
+// memory fabric instead of on the collective engine.
+func (s *Simulator) fusedInSwitch(n *et.Node) bool {
+	return n.InSwitch && s.cfg.Memory.HasPool && s.cfg.Memory.Pool.SupportsInSwitchCollectives()
 }
 
 // StartTime returns the simulated time the trace was released.
@@ -478,31 +594,29 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 	return stats, nil
 }
 
+// describeStuck names the first stuck node, lowest rank first and then in
+// node-list order. It prefers an issued-but-unfinished node (e.g. a receive
+// whose sender never arrived, or a collective missing members) over a node
+// that was never ready.
 func (s *Simulator) describeStuck() string {
-	// Prefer an issued-but-unfinished node (e.g. a receive whose sender
-	// never arrived, or a collective missing members) over a node that was
-	// never ready.
 	for _, st := range s.npus {
-		for id, deg := range st.indeg {
-			if deg == issuedMark && !st.completed[id] {
-				n := st.nodes[id]
-				return fmt.Sprintf("npu %d node %d (%s %s, in flight)", st.rank, id, n.Kind, n.Name)
+		for i, v := range st.state {
+			if v == nodeIssued {
+				n := st.tmpl.nodes[i]
+				return fmt.Sprintf("npu %d node %d (%s %s, in flight)", st.rank, n.ID, n.Kind, n.Name)
 			}
 		}
 	}
 	for _, st := range s.npus {
-		for id, deg := range st.indeg {
-			if deg > 0 {
-				n := st.nodes[id]
-				return fmt.Sprintf("npu %d node %d (%s %s, %d deps unmet)", st.rank, id, n.Kind, n.Name, deg)
+		for i, v := range st.state {
+			if v > 0 {
+				n := st.tmpl.nodes[i]
+				return fmt.Sprintf("npu %d node %d (%s %s, %d deps unmet)", st.rank, n.ID, n.Kind, n.Name, v)
 			}
 		}
 	}
 	return "unknown"
 }
-
-// issuedMark flags a node that has been dispatched to its layer.
-const issuedMark = -1
 
 // touch accumulates the attribution interval since the last state change.
 // Precedence: compute > comm > remote memory > local memory > idle.
@@ -543,15 +657,16 @@ func (st *npuState) touch(now units.Time) {
 }
 
 // issue dispatches a ready node to its layer.
-func (s *Simulator) issue(st *npuState, n *et.Node) {
-	st.indeg[n.ID] = issuedMark
+func (s *Simulator) issue(st *npuState, i int32) {
+	st.state[i] = nodeIssued
+	n := st.tmpl.nodes[i]
 	switch n.Kind {
 	case et.KindCompute:
 		dur := s.cfg.Compute.OpTime(n.FLOPs, units.ByteSize(n.MemBytes))
 		if s.straggle.Active() {
 			dur = s.straggle.Scale(st.rank, dur)
 		}
-		s.runTimed(st, n, dur, &st.nCompute)
+		s.runTimed(st, i, dur, &st.nCompute)
 	case et.KindMemory:
 		loc := memory.Local
 		counter := &st.nLocal
@@ -565,17 +680,17 @@ func (s *Simulator) issue(st *npuState, n *et.Node) {
 		}
 		dur := s.cfg.Memory.AccessTime(loc, kind, units.ByteSize(n.TensorBytes))
 		if loc == memory.Remote && s.cfg.RemoteArbiter != nil {
-			s.runRemote(st, n, dur, counter)
+			s.runRemote(st, i, dur, counter)
 			return
 		}
-		s.runTimed(st, n, dur, counter)
+		s.runTimed(st, i, dur, counter)
 	case et.KindComm:
-		s.issueCollective(st, n)
+		s.issueCollective(st, i)
 	case et.KindSend:
 		s.markBusy(st, &st.nComm)
 		s.net.SimSend(st.rank, n.Peer, n.Tag, units.ByteSize(n.CommBytes), func() {
 			s.markFree(st, &st.nComm)
-			s.complete(st, n)
+			s.complete(st, i)
 		})
 	case et.KindRecv:
 		// A receive is pure synchronization: the message's wire time is
@@ -584,7 +699,7 @@ func (s *Simulator) issue(st *npuState, n *et.Node) {
 		// visible in the breakdown).
 		s.net.SimRecv(n.Peer, st.rank, n.Tag, units.ByteSize(n.CommBytes), func(network.Message) {
 			st.touch(s.eng.Now())
-			s.complete(st, n)
+			s.complete(st, i)
 		})
 	default:
 		panic(fmt.Sprintf("core: unknown node kind %q", n.Kind))
@@ -592,18 +707,18 @@ func (s *Simulator) issue(st *npuState, n *et.Node) {
 }
 
 // runTimed executes a node with a fixed duration under an activity counter.
-func (s *Simulator) runTimed(st *npuState, n *et.Node, dur units.Time, counter *int) {
+func (s *Simulator) runTimed(st *npuState, i int32, dur units.Time, counter *int) {
 	s.markBusy(st, counter)
 	s.eng.Schedule(dur, func() {
 		s.markFree(st, counter)
-		s.complete(st, n)
+		s.complete(st, i)
 	})
 }
 
 // runRemote executes a remote-memory node under the cross-job pool
 // arbiter: the access duration is stretched by the contention factor at
 // issue time and the arbiter is released on completion.
-func (s *Simulator) runRemote(st *npuState, n *et.Node, dur units.Time, counter *int) {
+func (s *Simulator) runRemote(st *npuState, i int32, dur units.Time, counter *int) {
 	if f := s.cfg.RemoteArbiter.RemoteStarted(); f > 1 {
 		dur = units.Time(float64(dur) * f)
 	}
@@ -611,7 +726,7 @@ func (s *Simulator) runRemote(st *npuState, n *et.Node, dur units.Time, counter 
 	s.eng.Schedule(dur, func() {
 		s.cfg.RemoteArbiter.RemoteFinished()
 		s.markFree(st, counter)
-		s.complete(st, n)
+		s.complete(st, i)
 	})
 }
 
@@ -627,50 +742,46 @@ func (s *Simulator) markFree(st *npuState, counter *int) {
 
 // issueCollective implements the rendezvous protocol and launches the
 // collective when the last member arrives.
-func (s *Simulator) issueCollective(st *npuState, n *et.Node) {
-	group := s.group(n, st.rank)
-	sig := group.Signature(s.cfg.Topology)
-	if n.InSwitch {
-		sig = "insw/" + sig
-	}
-	seqKey := collSeqKey{rank: st.rank, sig: sig}
-	seq := s.collSeq[seqKey]
-	s.collSeq[seqKey] = seq + 1
+func (s *Simulator) issueCollective(st *npuState, i int32) {
+	key := st.tmpl.commKey[i]
+	group := collective.Group{Spans: s.layouts[key/2], Base: st.rank}
+	seq := st.collSeq[key]
+	st.collSeq[key]++
 
-	key := rendezvousKey{sig: sig, seq: seq}
-	p := s.rendezvous[key]
+	rk := rendezvousKey{key: key, origin: group.Origin(s.cfg.Topology), seq: seq}
+	p := s.rendezvous[rk]
 	if p == nil {
+		members := group.Members(s.cfg.Topology)
 		p = &pendingCollective{
 			group:   group,
-			members: group.Members(s.cfg.Topology),
-			nodes:   make(map[int]*et.Node),
+			members: members,
+			nodes:   make([]int32, len(members)),
 		}
-		s.rendezvous[key] = p
+		s.rendezvous[rk] = p
 	}
-	p.nodes[st.rank] = n
+	p.nodes[sort.SearchInts(p.members, st.rank)] = i
 	p.arrived++
 	s.markBusy(st, &st.nComm) // waiting for peers counts as communication
 	if p.arrived < len(p.members) {
 		return
 	}
-	delete(s.rendezvous, key)
-	s.launchCollective(p, n)
+	delete(s.rendezvous, rk)
+	s.launchCollective(p, st.tmpl.nodes[i])
 }
 
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 	finish := func(res collective.Result, ok bool) {
-		for _, rank := range p.members {
+		for pos, rank := range p.members {
 			member := s.npus[rank]
-			node := p.nodes[rank]
 			s.markFree(member, &member.nComm)
-			s.complete(member, node)
+			s.complete(member, p.nodes[pos])
 		}
 		if ok && len(s.collLog) < s.cfg.CollectiveLogLimit {
 			s.collLog = append(s.collLog, res)
 		}
 	}
 
-	if n.InSwitch && s.cfg.Memory.HasPool && s.cfg.Memory.Pool.SupportsInSwitchCollectives() {
+	if s.fusedInSwitch(n) {
 		// Fused in-switch collective through the memory fabric: all
 		// members complete together after the pipelined fabric time. The
 		// pool model's W is the per-GPU pre-gather shard, so an
@@ -710,6 +821,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 		finish(res, true)
 	})
 	if err != nil {
+		// Start checked every collective node against its group.
 		panic(fmt.Sprintf("core: collective launch failed: %v", err))
 	}
 }
@@ -729,65 +841,17 @@ func mapCollective(c et.CollectiveType) collective.Op {
 	}
 }
 
-// resolveGroups validates every collective node's communicator against
-// the machine before any event fires, so a malformed group span fails
-// Start instead of the run. Span validity does not depend on the issuing
-// rank (see collective.NewSpanGroup), so each distinct GroupRef is resolved
-// once for every rank that issues it, and a node list shared by several
-// ranks (symmetric traces) is scanned once.
-func (s *Simulator) resolveGroups(trace *et.Trace) error {
-	top := s.cfg.Topology
-	s.fullSpans = collective.FullMachine(top).Spans
-	s.groups = make(map[*et.GroupRef][]collective.Span)
-	var scanned []*et.Node
-	for _, g := range trace.Graphs {
-		if len(g.Nodes) == 0 || (len(g.Nodes) == len(scanned) && &g.Nodes[0] == &scanned[0]) {
-			continue
-		}
-		scanned = g.Nodes
-		for _, n := range g.Nodes {
-			if n.Kind != et.KindComm || n.Group == nil || len(n.Group.Spans) == 0 {
-				continue
-			}
-			if _, ok := s.groups[n.Group]; ok {
-				continue
-			}
-			spans := make([]collective.Span, len(n.Group.Spans))
-			for i, sp := range n.Group.Spans {
-				spans[i] = collective.Span{Phys: sp.Phys, K: sp.K, Stride: sp.Stride}
-			}
-			grp, err := collective.NewSpanGroup(top, spans, g.NPU)
-			if err != nil {
-				return fmt.Errorf("core: npu %d node %d: %w", g.NPU, n.ID, err)
-			}
-			s.groups[n.Group] = grp.Spans
-		}
-	}
-	return nil
-}
-
-// group returns the communicator group a collective node names, rooted at
-// the issuing NPU. Its spans were resolved by resolveGroups.
-func (s *Simulator) group(n *et.Node, rank int) collective.Group {
-	spans := s.fullSpans
-	if n.Group != nil && len(n.Group.Spans) > 0 {
-		spans = s.groups[n.Group]
-	}
-	return collective.Group{Spans: spans, Base: rank}
-}
-
 // complete finishes a node and unlocks its children.
-func (s *Simulator) complete(st *npuState, n *et.Node) {
-	st.completed[n.ID] = true
-	st.pending--
+func (s *Simulator) complete(st *npuState, i int32) {
+	st.state[i] = nodeDone
 	s.remaining--
 	if s.remaining == 0 {
 		s.finished = s.eng.Now()
 	}
-	for _, child := range st.children[n.ID] {
-		st.indeg[child.ID]--
-		if st.indeg[child.ID] == 0 {
-			s.issue(st, child)
+	for _, c := range st.tmpl.children[i] {
+		st.state[c]--
+		if st.state[c] == 0 {
+			s.issue(st, c)
 		}
 	}
 }

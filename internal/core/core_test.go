@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/collective"
 	"repro/internal/compute"
 	"repro/internal/et"
+	"repro/internal/etgen"
 	"repro/internal/memory"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -236,28 +239,31 @@ func TestPipelineParallelP2P(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	top := ring4Top()
-	// NPU 0 waits on a recv that nobody sends. Bypass trace validation by
-	// constructing the simulator input directly: Run validates, so give a
-	// matching send on NPU 1 that itself depends on an impossible
-	// collective rendezvous (NPU 1 joins a collective nobody else joins).
+	// NPU 1 joins two collectives nobody else joins, so both stay in flight
+	// and the run ends with them pending. The report names the lowest stuck
+	// rank's first in-flight node in node-list order (ID 5 before ID 3), the
+	// same on every run.
 	tr := symmetricTrace(4, func(rank int) []*et.Node {
 		if rank != 1 {
 			return []*et.Node{{ID: 1, Kind: et.KindCompute, FLOPs: 1}}
 		}
 		return []*et.Node{
-			{ID: 1, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
+			{ID: 5, Name: "grad-b", Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
+			{ID: 3, Name: "grad-a", Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1024},
+			{ID: 7, Name: "step", Kind: et.KindCompute, FLOPs: 1, Deps: []int{3, 5}},
 		}
 	})
-	sim, err := NewSimulator(testConfig(t, top))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.Run(tr)
-	if err == nil {
-		t.Fatal("expected deadlock error")
-	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("error = %v, want deadlock report", err)
+	const want = "core: simulation deadlocked with 3 nodes pending (unmatched P2P or incomplete collective rendezvous); " +
+		"first stuck: npu 1 node 5 (COMM_COLL grad-b, in flight)"
+	for i := 0; i < 20; i++ {
+		sim, err := NewSimulator(testConfig(t, top))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sim.Run(tr)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error = %v, want %q", i, err, want)
+		}
 	}
 }
 
@@ -456,8 +462,7 @@ func TestTimelineOffByDefault(t *testing.T) {
 
 // A trace whose node list is NOT in ascending-ID order must simulate
 // identically to its sorted twin: the initial ready batch is issued in
-// ascending-ID order either way (generated traces hit the sort-free fast
-// path; shuffled external traces take the sorting fallback).
+// ascending-ID order either way (the graph template sorts its roots once).
 func TestShuffledNodeListMatchesSorted(t *testing.T) {
 	top := ring4Top()
 	// Two independent roots plus a dependent P2P pair so issue order is
@@ -528,4 +533,201 @@ func TestMalformedGroupSpansFailStart(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCollectiveShardChecks checks that Start rejects a collective whose
+// per-member shard would be empty on the collective engine, naming the NPU
+// and node, while a fused in-switch collective on a pool that supports it
+// clamps its shard to one byte and runs.
+func TestCollectiveShardChecks(t *testing.T) {
+	top8 := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(100)},
+		topology.Dim{Kind: topology.Ring, Size: 2, Bandwidth: units.GBps(50)},
+	)
+	cases := []struct {
+		name     string
+		top      *topology.Topology
+		node     et.Node
+		pool     bool
+		wantErr  string
+		wantSpan units.Time
+	}{
+		{
+			name:    "whole machine",
+			top:     ring4Top(),
+			node:    et.Node{ID: 1, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 2},
+			wantErr: "core: npu 0 node 1: All-Gather of 2 bytes over 4 members leaves an empty shard",
+		},
+		{
+			name: "sub-group",
+			top:  top8,
+			node: et.Node{ID: 4, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 3,
+				Group: &et.GroupRef{Spans: []et.SpanRef{{Phys: 0, K: 4, Stride: 1}}}},
+			wantErr: "core: npu 0 node 4: All-Gather of 3 bytes over 4 members leaves an empty shard",
+		},
+		{
+			name:    "in-switch without a pool takes the engine path",
+			top:     ring4Top(),
+			node:    et.Node{ID: 2, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 2, InSwitch: true},
+			wantErr: "core: npu 0 node 2: All-Gather of 2 bytes over 4 members leaves an empty shard",
+		},
+		{
+			name: "in-switch with a pool",
+			top:  ring4Top(),
+			node: et.Node{ID: 1, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 2, InSwitch: true},
+			pool: true,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(t, c.top)
+			if c.pool {
+				cfg.Memory.HasPool = true
+				cfg.Memory.Pool = memory.PoolConfig{
+					Design:             memory.Hierarchical,
+					NumNodes:           2,
+					GPUsPerNode:        2,
+					NumOutSwitches:     2,
+					NumRemoteGroups:    4,
+					ChunkSize:          units.MiB,
+					RemoteGroupBW:      units.GBps(100),
+					GPUSideOutFabricBW: units.GBps(100),
+					InNodeFabricBW:     units.GBps(256),
+				}
+			}
+			trace := symmetricTrace(c.top.NumNPUs(), func(int) []*et.Node {
+				n := c.node
+				return []*et.Node{&n}
+			})
+			sim, err := NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := sim.Run(trace)
+			if c.wantErr != "" {
+				if err == nil || err.Error() != c.wantErr {
+					t.Fatalf("error = %v, want %q", err, c.wantErr)
+				}
+				if sim.eng.Fired() != 0 {
+					t.Errorf("failed Start fired %d events", sim.eng.Fired())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cfg.Memory.Pool.InSwitchCollectiveTime(1); stats.Makespan != want {
+				t.Errorf("makespan = %v, want the 1-byte shard's fabric time %v", stats.Makespan, want)
+			}
+		})
+	}
+}
+
+// deepCopy gives every graph of tr its own node list, nodes, deps and
+// group references, so no two ranks share anything.
+func deepCopy(tr *et.Trace) *et.Trace {
+	out := &et.Trace{Name: tr.Name, NumNPUs: tr.NumNPUs}
+	for _, g := range tr.Graphs {
+		nodes := make([]*et.Node, len(g.Nodes))
+		for i, n := range g.Nodes {
+			c := *n
+			c.Deps = append([]int(nil), n.Deps...)
+			if n.Group != nil {
+				c.Group = &et.GroupRef{Spans: append([]et.SpanRef(nil), n.Group.Spans...)}
+			}
+			nodes[i] = &c
+		}
+		out.Graphs = append(out.Graphs, &et.Graph{NPU: g.NPU, Nodes: nodes})
+	}
+	return out
+}
+
+// TestSharedTemplatesMatchPrivateLists runs each workload twice — as
+// built, where ranks share node lists, and deep-copied so every rank has
+// a private list — and requires byte-identical run statistics.
+func TestSharedTemplatesMatchPrivateLists(t *testing.T) {
+	top16 := topology.MustNew(
+		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(200)},
+		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50)},
+	)
+	model := etgen.TransformerConfig{
+		Name: "tiny", Params: 4e9, Layers: 4, Hidden: 2048, SeqLen: 512,
+		MicroBatch: 1, BytesPerElem: 2, MP: 4,
+	}
+	transformer, err := etgen.Transformer(top16, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threeD, err := etgen.ThreeD(top16, etgen.ThreeDConfig{Model: model, Stages: 2, MicroBatches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		top       *topology.Topology
+		trace     *et.Trace
+		templates int
+	}{
+		{"transformer", top16, transformer, 1},
+		{"3d", top16, threeD, 16},
+		{"mixed", ring4Top(), mixedTrace(), 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sim, err := NewSimulator(testConfig(t, c.top))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, err := sim.Run(c.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmpls := make(map[*graphTemplate]bool)
+			for _, st := range sim.npus {
+				tmpls[st.tmpl] = true
+			}
+			if len(tmpls) != c.templates {
+				t.Errorf("built %d templates, want %d", len(tmpls), c.templates)
+			}
+			private := run(t, testConfig(t, c.top), deepCopy(c.trace))
+			a, err := json.Marshal(shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(private)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("shared and private node lists simulate differently:\n%s\n%s", a, b)
+			}
+		})
+	}
+}
+
+// mixedTrace has ranks 0, 2 and 3 share one node list while rank 1 has its
+// own; both lists are out of ID order and hold a repeated dep.
+func mixedTrace() *et.Trace {
+	shared := []*et.Node{
+		{ID: 9, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1 << 20, Deps: []int{4, 4}},
+		{ID: 4, Kind: et.KindCompute, FLOPs: 2e9},
+		{ID: 6, Kind: et.KindCompute, FLOPs: 1e9},
+		{ID: 2, Kind: et.KindMemory, MemOp: et.MemLoad, MemLocation: et.MemLocal, TensorBytes: 1 << 20, Deps: []int{6}},
+		{ID: 11, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 1 << 16, Deps: []int{9, 2},
+			Group: &et.GroupRef{Spans: []et.SpanRef{{Phys: 0, K: 4, Stride: 1}}}},
+	}
+	private := []*et.Node{
+		{ID: 6, Kind: et.KindCompute, FLOPs: 3e9},
+		{ID: 9, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 1 << 20, Deps: []int{6, 6}},
+		{ID: 11, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 1 << 16, Deps: []int{9}},
+	}
+	tr := &et.Trace{Name: "mixed", NumNPUs: 4}
+	for r := 0; r < 4; r++ {
+		nodes := shared
+		if r == 1 {
+			nodes = private
+		}
+		tr.Graphs = append(tr.Graphs, &et.Graph{NPU: r, Nodes: nodes})
+	}
+	return tr
 }

@@ -233,6 +233,15 @@ func (t *Trace) Validate() error {
 	if len(t.Graphs) != t.NumNPUs {
 		return fmt.Errorf("et: trace has %d graphs for %d NPUs", len(t.Graphs), t.NumNPUs)
 	}
+	// A node list shared by several graphs (symmetric traces share one
+	// across every rank) is validated once, on the first graph using it:
+	// the per-graph checks depend only on the list, apart from the NPU the
+	// error names.
+	type listKey struct {
+		first **Node
+		n     int
+	}
+	valid := make(map[listKey]bool)
 	seen := make(map[int]bool, len(t.Graphs))
 	for _, g := range t.Graphs {
 		if g.NPU < 0 || g.NPU >= t.NumNPUs {
@@ -242,9 +251,17 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("et: duplicate graph for npu %d", g.NPU)
 		}
 		seen[g.NPU] = true
+		if len(g.Nodes) == 0 {
+			continue
+		}
+		k := listKey{first: &g.Nodes[0], n: len(g.Nodes)}
+		if valid[k] {
+			continue
+		}
 		if err := g.Validate(); err != nil {
 			return err
 		}
+		valid[k] = true
 	}
 	return t.validateP2P()
 }

@@ -143,6 +143,34 @@ func TestTraceShapeErrors(t *testing.T) {
 	}
 }
 
+// A node list shared by several graphs is validated once, and its error
+// names the first NPU whose graph uses it.
+func TestSharedListValidatedOnce(t *testing.T) {
+	own := []*Node{{ID: 1, Kind: KindCompute, FLOPs: 1}}
+	shared := []*Node{
+		{ID: 1, Kind: KindCompute, FLOPs: 1},
+		{ID: 2, Kind: KindMemory, Deps: []int{1}, MemOp: MemLoad, MemLocation: MemLocal}, // no tensor_bytes
+	}
+	tr := &Trace{NumNPUs: 4, Graphs: []*Graph{{NPU: 0, Nodes: own}}}
+	for npu := 1; npu < 4; npu++ {
+		tr.Graphs = append(tr.Graphs, &Graph{NPU: npu, Nodes: shared})
+	}
+	err := tr.Validate()
+	want := "et: npu 1 node 2: memory node needs positive tensor_bytes"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
+	}
+	shared[1].TensorBytes = 64
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("fixed shared list: %v", err)
+	}
+	// A sub-slice of a shared list is a distinct list with its own checks.
+	tr.Graphs[3].Nodes = shared[1:]
+	if err := tr.Validate(); err == nil {
+		t.Fatal("suffix list with a dangling dep accepted")
+	}
+}
+
 func TestP2PMatching(t *testing.T) {
 	tr := validTrace()
 	// Remove the recv: orphan send.

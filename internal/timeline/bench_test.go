@@ -43,6 +43,34 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueueStorm measures the lockstep pattern of large
+// collectives: a standing population of events that all fire on a handful
+// of instants, each firing scheduling its successor a fixed step later, so
+// nearly every schedule lands on an instant that is already pending.
+func BenchmarkEventQueueStorm(b *testing.B) {
+	for _, pop := range []int{64, 4096} {
+		b.Run(benchSize("pending", pop), func(b *testing.B) {
+			e := New()
+			fired := 0
+			var tick Callback
+			tick = func() {
+				fired++
+				if fired <= b.N {
+					e.Schedule(100, tick)
+				}
+			}
+			for i := 0; i < pop; i++ {
+				e.Schedule(units.Time(i%4)+1, tick)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkEventQueueZeroDelay measures the same-instant scheduling path
 // (delay 0), which dominates callback-chained model code.
 func BenchmarkEventQueueZeroDelay(b *testing.B) {

@@ -9,11 +9,16 @@
 // lose determinism).
 //
 // The queue is built for throughput: events live by value in a slot arena
-// recycled through a free list, the priority queue is a 4-ary heap of slot
-// indices (no interface{} boxing, no per-event allocation in steady state),
-// and zero-delay events bypass the heap entirely through a same-instant
-// FIFO. Model layers that schedule millions of events can avoid closure
-// allocations too by implementing Actor and using ScheduleActor.
+// recycled through a free list, and the priority queue orders distinct
+// instants, not events. Large models fire storms of events on the same
+// instant (every member of a collective finishes a chunk phase at the same
+// tick), so each pending timestamp owns a FIFO bucket of slot indices and
+// only the timestamps sit in a 4-ary heap; an event landing on an instant
+// that is already pending is one map lookup and an append, with no sifting.
+// Zero-delay events bypass the buckets entirely through a same-instant
+// FIFO. Nothing allocates per event in steady state, and model layers that
+// schedule millions of events can avoid closure allocations too by
+// implementing Actor and using ScheduleActor.
 package timeline
 
 import (
@@ -33,12 +38,27 @@ type Actor interface {
 	Act()
 }
 
-// event is a value-typed queue entry. Exactly one of fn/actor is set.
+// event is a value-typed queue entry. Exactly one of fn/actor is set. Its
+// timestamp is its bucket's (or, in the zero-delay FIFO, the current
+// instant), and its schedule order is its position in that FIFO.
 type event struct {
-	at    units.Time
-	seq   uint64 // schedule order, breaks ties deterministically
 	fn    Callback
 	actor Actor
+}
+
+// bucket is the FIFO of events pending at one instant. Events are appended
+// in schedule order, so firing a bucket front to back is (at, seq) order.
+type bucket struct {
+	at    units.Time
+	slots []int32
+	head  int
+}
+
+// instant is a heap entry: a pending timestamp and the bucket holding its
+// events. The timestamp is stored inline so sifting compares plain values.
+type instant struct {
+	at units.Time
+	b  int32
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -47,36 +67,42 @@ type Engine struct {
 	now units.Time
 
 	// slots is the event arena; free holds recycled slot indices. Events
-	// are addressed by index so the heap and FIFO move 4-byte handles, not
-	// event values, and steady-state scheduling never allocates.
+	// are addressed by index so the buckets and FIFO move 4-byte handles,
+	// not event values, and steady-state scheduling never allocates.
 	slots []event
 	free  []int32
 
-	// heap is a 4-ary min-heap of slot indices ordered by (at, seq).
-	heap []int32
+	// instants is a 4-ary min-heap of the distinct pending timestamps;
+	// index maps each of them to its bucket. Emptied buckets return to
+	// freeBuckets with their slot capacity, so a recycled bucket appends
+	// without allocating.
+	instants    []instant
+	buckets     []bucket
+	freeBuckets []int32
+	index       map[units.Time]int32
+	queued      int // events waiting in buckets
 
 	// zq is the zero-delay fast path: a FIFO of slots due exactly at the
 	// current instant. Every entry was scheduled while the clock already
-	// stood at its timestamp, so entries are in seq order and all heap
-	// events due now precede all of them (they were scheduled earlier).
+	// stood at its timestamp, so all bucketed events due now precede all
+	// of them (they were scheduled earlier).
 	zq     []int32
 	zqHead int
 
-	seq    uint64
 	fired  uint64
 	budget uint64 // max events per Run/RunUntil; 0 = unlimited
 }
 
 // New returns an empty engine at simulated time zero.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{index: make(map[units.Time]int32)}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.zq) - e.zqHead }
+func (e *Engine) Pending() int { return e.queued + len(e.zq) - e.zqHead }
 
 // Fired reports how many events have executed since construction.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -88,8 +114,7 @@ func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
 // allocSlot takes a slot from the free list (or grows the arena) and fills
 // it. It returns the slot index; the caller enqueues it.
-func (e *Engine) allocSlot(at units.Time, fn Callback, actor Actor) int32 {
-	e.seq++
+func (e *Engine) allocSlot(fn Callback, actor Actor) int32 {
 	var idx int32
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
@@ -98,23 +123,43 @@ func (e *Engine) allocSlot(at units.Time, fn Callback, actor Actor) int32 {
 		e.slots = append(e.slots, event{})
 		idx = int32(len(e.slots) - 1)
 	}
-	s := &e.slots[idx]
-	s.at, s.seq, s.fn, s.actor = at, e.seq, fn, actor
+	e.slots[idx] = event{fn: fn, actor: actor}
 	return idx
 }
 
 func (e *Engine) enqueue(delay units.Time, fn Callback, actor Actor) {
-	if delay < 0 {
-		delay = 0
-	}
-	idx := e.allocSlot(e.now+delay, fn, actor)
-	if delay == 0 {
-		// Same-instant events never sift: they fire after everything
-		// already due now, in schedule order, which is exactly a FIFO.
+	idx := e.allocSlot(fn, actor)
+	if delay <= 0 {
+		// Same-instant events never wait on a bucket: they fire after
+		// everything already due now, in schedule order, which is exactly
+		// a FIFO.
 		e.zq = append(e.zq, idx)
 		return
 	}
-	e.heapPush(idx)
+	at := e.now + delay
+	b, ok := e.index[at]
+	if !ok {
+		b = e.openBucket(at)
+	}
+	bk := &e.buckets[b]
+	bk.slots = append(bk.slots, idx)
+	e.queued++
+}
+
+// openBucket starts the FIFO for a newly pending instant.
+func (e *Engine) openBucket(at units.Time) int32 {
+	var b int32
+	if n := len(e.freeBuckets); n > 0 {
+		b = e.freeBuckets[n-1]
+		e.freeBuckets = e.freeBuckets[:n-1]
+	} else {
+		e.buckets = append(e.buckets, bucket{})
+		b = int32(len(e.buckets) - 1)
+	}
+	e.buckets[b].at = at
+	e.index[at] = b
+	e.heapPush(instant{at: at, b: b})
+	return b
 }
 
 // Schedule enqueues fn to run after delay. A negative delay is an error in
@@ -162,18 +207,31 @@ func (e *Engine) peekAt() units.Time {
 	if e.zqHead < len(e.zq) {
 		return e.now // zq entries are always due at the current instant
 	}
-	return e.slots[e.heap[0]].at
+	return e.instants[0].at
 }
 
 // Step executes the single earliest event and returns true, or returns
 // false if the queue is empty.
 func (e *Engine) Step() bool {
 	var idx int32
+	at := e.now
 	switch {
-	case len(e.heap) > 0 && (e.zqHead >= len(e.zq) || e.slots[e.heap[0]].at == e.now):
-		// Heap events due at the current instant were scheduled before the
-		// clock reached it, so they precede every same-instant FIFO entry.
-		idx = e.heapPop()
+	case len(e.instants) > 0 && (e.zqHead >= len(e.zq) || e.instants[0].at == e.now):
+		// Bucketed events due at the current instant were scheduled before
+		// the clock reached it, so they precede every same-instant FIFO
+		// entry.
+		top := e.instants[0]
+		bk := &e.buckets[top.b]
+		idx = bk.slots[bk.head]
+		bk.head++
+		if bk.head == len(bk.slots) {
+			bk.slots, bk.head = bk.slots[:0], 0
+			delete(e.index, top.at)
+			e.freeBuckets = append(e.freeBuckets, top.b)
+			e.heapPop()
+		}
+		e.queued--
+		at = top.at
 	case e.zqHead < len(e.zq):
 		idx = e.zq[e.zqHead]
 		e.zqHead++
@@ -188,11 +246,12 @@ func (e *Engine) Step() bool {
 	// may schedule (growing the arena and invalidating slot pointers), and
 	// freeing first lets it reuse this very slot.
 	s := &e.slots[idx]
-	at, fn, actor := s.at, s.fn, s.actor
-	s.fn, s.actor = nil, nil // release references for the GC
+	fn, actor := s.fn, s.actor
+	*s = event{} // release references for the GC
 	e.free = append(e.free, idx)
 	if at < e.now {
-		// Cannot happen: enqueue clamps to now and the heap orders by time.
+		// Cannot happen: enqueue never schedules into the past and the heap
+		// orders instants by time.
 		panic(fmt.Sprintf("timeline: time ran backwards: %v -> %v", e.now, at))
 	}
 	e.now = at
@@ -235,66 +294,57 @@ func (e *Engine) RunUntil(deadline units.Time) (units.Time, error) {
 	return e.now, nil
 }
 
-// --- 4-ary index heap ordered by (at, seq) ---
+// --- 4-ary min-heap of pending instants ---
 //
 // A 4-ary layout halves the tree depth of a binary heap: sift-downs touch
-// fewer cache lines, which matters because pop dominates a drained queue's
-// cost. Children of i are 4i+1..4i+4.
+// fewer cache lines. Children of i are 4i+1..4i+4. Timestamps in the heap
+// are distinct, so the time alone orders it.
 
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	h := e.heap
+func (e *Engine) heapPush(x instant) {
+	e.instants = append(e.instants, x)
+	h := e.instants
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !e.less(idx, h[p]) {
+		if h[p].at <= x.at {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = idx
+	h[i] = x
 }
 
-func (e *Engine) heapPop() int32 {
-	h := e.heap
-	root := h[0]
+func (e *Engine) heapPop() {
+	h := e.instants
 	n := len(h) - 1
 	x := h[n]
-	e.heap = h[:n]
-	if n > 0 {
-		h = e.heap
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			best := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if e.less(h[j], h[best]) {
-					best = j
-				}
-			}
-			if !e.less(h[best], x) {
-				break
-			}
-			h[i] = h[best]
-			i = best
-		}
-		h[i] = x
+	e.instants = h[:n]
+	if n == 0 {
+		return
 	}
-	return root
+	h = e.instants
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		best := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].at < h[best].at {
+				best = j
+			}
+		}
+		if h[best].at >= x.at {
+			break
+		}
+		h[i] = h[best]
+		i = best
+	}
+	h[i] = x
 }

@@ -236,9 +236,9 @@ func TestNilActorPanics(t *testing.T) {
 	New().ScheduleActor(0, nil)
 }
 
-// Events landing on the same instant via the heap (scheduled earlier with a
-// positive delay) must fire before events scheduled with delay zero at that
-// instant — heap arrivals carry earlier sequence numbers. This pins the
+// Events landing on the same instant via its bucket (scheduled earlier with
+// a positive delay) must fire before events scheduled with delay zero at
+// that instant — bucketed arrivals were scheduled first. This pins the
 // zero-delay fast path's ordering contract.
 func TestZeroDelayInterleavesWithHeapFIFO(t *testing.T) {
 	e := New()

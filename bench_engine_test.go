@@ -1,13 +1,14 @@
 package astrasim
 
 // Engine hot-path benchmarks (E8): the discrete-event core's cost per event
-// on the chunked All-Reduce path, the workload that dominates every paper
+// on the chunked collective path, the workload that dominates every paper
 // figure. BenchmarkEngineHotPath sweeps the NPU count from 64 to 32768 and
 // writes BENCH_engine.json with ns/event, allocs/event and events/sec per
-// scale. Two historical series are preserved across runs so the artifact
-// always carries the full before/after story: "baseline" (before the
-// zero-allocation rework) and "previous" (before the dimension-aggregate
-// rework, whose per-event cost grew ~13x from 64 to 1024 NPUs).
+// scale for two series: "current", one whole-machine All-Reduce, and
+// "subgroup", the hybrid-parallel pattern of an MP16 All-Reduce on every
+// dims-0-1 block plus a DP All-Reduce on every dim-2 block, whose event
+// count grows with the machine. The artifact also records the Go version,
+// GOMAXPROCS and the host's core count.
 
 import (
 	"encoding/json"
@@ -34,11 +35,18 @@ type engineBenchRecord struct {
 	EventsPerSec   float64 `json:"events_per_sec"`
 }
 
+type engineBenchHost struct {
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+}
+
 type engineBenchDoc struct {
-	Workload string              `json:"workload"`
-	Baseline []engineBenchRecord `json:"baseline"`
-	Previous []engineBenchRecord `json:"previous,omitempty"`
-	Current  []engineBenchRecord `json:"current"`
+	Workload         string              `json:"workload"`
+	SubGroupWorkload string              `json:"subgroup_workload"`
+	Host             engineBenchHost     `json:"host"`
+	Current          []engineBenchRecord `json:"current"`
+	SubGroup         []engineBenchRecord `json:"subgroup"`
 }
 
 // engineHotPathTopology builds the benchmark machine at a given scale:
@@ -52,77 +60,105 @@ func engineHotPathTopology(npus int) *topology.Topology {
 	)
 }
 
+// startEngineHotPath launches one series' collectives on a fresh engine.
+func startEngineHotPath(b *testing.B, ce *collective.Engine, top *topology.Topology, subgroup bool, size units.ByteSize) {
+	if !subgroup {
+		if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil); err != nil {
+			b.Fatal(err)
+		}
+		return
+	}
+	// One MP All-Reduce per dims-0-1 block (16 NPUs) and one DP
+	// All-Reduce per dim-2 block; a block's origin is its lowest rank.
+	n := top.NumNPUs()
+	for _, l := range []struct {
+		dims          []int
+		count, stride int
+	}{{[]int{0, 1}, n / 16, 16}, {[]int{2}, 16, 1}} {
+		for i := 0; i < l.count; i++ {
+			g, err := collective.NewGroup(top, l.dims, i*l.stride)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ce.Start(collective.AllReduce, size, g, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEngineHotPath drives the production chunk-phase collective path
-// (64-chunk 64 MB All-Reduce) at 64-32768 NPUs and records per-event cost.
+// (64-chunk 64 MB All-Reduces) at 64-32768 NPUs and records per-event cost.
 func BenchmarkEngineHotPath(b *testing.B) {
 	const (
 		size   = 64 * units.MB
 		chunks = 64
 	)
 	scales := []int{64, 256, 1024, 4096, 32768}
-	current := make([]engineBenchRecord, len(scales))
-	for si, npus := range scales {
-		top := engineHotPathTopology(npus)
-		b.Run(fmt.Sprintf("npus=%d", npus), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				eng := timeline.New()
-				net := network.NewBackend(eng, top)
-				ce := collective.NewEngine(net, collective.WithChunks(chunks))
-				if err := ce.Start(collective.AllReduce, size, collective.FullMachine(top), nil); err != nil {
-					b.Fatal(err)
+	var series [2][]engineBenchRecord // whole machine, sub-groups
+	for s, name := range []string{"full", "subgroup"} {
+		subgroup := s == 1
+		series[s] = make([]engineBenchRecord, len(scales))
+		for si, npus := range scales {
+			top := engineHotPathTopology(npus)
+			b.Run(fmt.Sprintf("%s/npus=%d", name, npus), func(b *testing.B) {
+				b.ReportAllocs()
+				var events uint64
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					eng := timeline.New()
+					net := network.NewBackend(eng, top)
+					ce := collective.NewEngine(net, collective.WithChunks(chunks))
+					startEngineHotPath(b, ce, top, subgroup, size)
+					if _, err := eng.Run(); err != nil {
+						b.Fatal(err)
+					}
+					events = eng.Fired()
 				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
+				elapsed := time.Since(start)
+				runtime.ReadMemStats(&ms1)
+				totalEvents := float64(events) * float64(b.N)
+				nsPerEvent := float64(elapsed.Nanoseconds()) / totalEvents
+				b.ReportMetric(nsPerEvent, "ns/event")
+				// Mallocs includes per-op setup (engine, backend,
+				// partitions, one state object per chunk); on a
+				// multi-thousand-event run that fixed cost amortizes,
+				// so the quotient tracks the hot path.
+				allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / totalEvents
+				b.ReportMetric(allocsPerEvent, "allocs/event")
+				series[s][si] = engineBenchRecord{
+					NPUs:           npus,
+					Topology:       top.String(),
+					EventsPerOp:    events,
+					NsPerEvent:     nsPerEvent,
+					AllocsPerEvent: allocsPerEvent,
+					EventsPerSec:   1e9 / nsPerEvent,
 				}
-				events = eng.Fired()
-			}
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			totalEvents := float64(events) * float64(b.N)
-			nsPerEvent := float64(elapsed.Nanoseconds()) / totalEvents
-			b.ReportMetric(nsPerEvent, "ns/event")
-			// Mallocs includes per-op setup (engine, backend, stats
-			// arrays); on a multi-thousand-event run that fixed cost
-			// amortizes to noise, so the quotient tracks the hot path.
-			allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / totalEvents
-			b.ReportMetric(allocsPerEvent, "allocs/event")
-			current[si] = engineBenchRecord{
-				NPUs:           npus,
-				Topology:       top.String(),
-				EventsPerOp:    events,
-				NsPerEvent:     nsPerEvent,
-				AllocsPerEvent: allocsPerEvent,
-				EventsPerSec:   1e9 / nsPerEvent,
-			}
-		})
+			})
+		}
 	}
 	// Sub-benchmarks can be filtered away; only write the artifact when
-	// every scale ran, so a partial run never clobbers a full capture.
-	for i := range current {
-		if current[i].NPUs == 0 {
-			return
+	// every scale of both series ran, so a partial run never clobbers a
+	// full capture.
+	for _, rows := range series {
+		for i := range rows {
+			if rows[i].NPUs == 0 {
+				return
+			}
 		}
 	}
 	doc := engineBenchDoc{
-		Workload: fmt.Sprintf("all_reduce(%v), %d chunks, R(4)_FC(4)_SW(n/16)", size, chunks),
-		Current:  current,
-	}
-	// Preserve the historical series: "baseline" and "previous" survive
-	// from earlier captures.
-	if prev, err := os.ReadFile("BENCH_engine.json"); err == nil {
-		var old engineBenchDoc
-		if json.Unmarshal(prev, &old) == nil {
-			doc.Baseline = old.Baseline
-			doc.Previous = old.Previous
-		}
-	}
-	if doc.Baseline == nil {
-		doc.Baseline = current
+		Workload:         fmt.Sprintf("all_reduce(%v), %d chunks, R(4)_FC(4)_SW(n/16)", size, chunks),
+		SubGroupWorkload: fmt.Sprintf("all_reduce(%v) on every dims-0-1 and every dim-2 block, %d chunks", size, chunks),
+		Host: engineBenchHost{
+			GoVersion:  runtime.Version(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
+		},
+		Current:  series[0],
+		SubGroup: series[1],
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

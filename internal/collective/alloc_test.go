@@ -13,20 +13,48 @@ import (
 // typed timeline actors re-scheduling themselves, fixed-order plans are
 // shared across the whole wave, and phase reservations are pure arithmetic
 // on the backend's link ledger. What remains is per-run setup — the run
-// record, its per-span bookkeeping, the member list, and one chunkState per
-// chunk — so the guard bounds allocations per collective at a small
-// constant plus ~1 object per chunk, far below one per event.
+// record, its per-span bookkeeping and one chunkState per chunk — so the
+// guard bounds allocations per collective at a small constant plus ~1
+// object per chunk, far below one per event.
 func TestChunkPathAllocsPerEvent(t *testing.T) {
-	top := topology.MustNew(
+	top := allocTestTopology()
+	checkChunkPathAllocs(t, top, FullMachine(top))
+}
+
+// A sub-group collective reserves one block of its layout per phase: the
+// layout is interned on the engine's first collective over it and the
+// block floor is advanced in place, so sub-group phases allocate nothing
+// either and the whole-machine bounds hold.
+func TestSubGroupChunkPathAllocsPerEvent(t *testing.T) {
+	top := allocTestTopology()
+	strided, err := NewSpanGroup(top, []Span{{Phys: 0, K: 2, Stride: 2}, {Phys: 2, K: 2, Stride: 2}}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := NewGroup(top, []int{0, 1}, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("strided", func(t *testing.T) { checkChunkPathAllocs(t, top, strided) })
+	t.Run("dims0-1", func(t *testing.T) { checkChunkPathAllocs(t, top, board) })
+}
+
+func allocTestTopology() *topology.Topology {
+	return topology.MustNew(
 		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(250), Latency: 50 * units.Nanosecond},
 		topology.Dim{Kind: topology.FullyConnected, Size: 4, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond},
 		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50), Latency: 2 * units.Microsecond},
 	)
+}
+
+// checkChunkPathAllocs runs a 64-chunk All-Reduce over group repeatedly on
+// one engine and bounds its allocations per event and per collective.
+func checkChunkPathAllocs(t *testing.T, top *topology.Topology, group Group) {
+	t.Helper()
 	const chunks = 64
 	eng := timeline.New()
 	net := network.NewBackend(eng, top)
 	ce := NewEngine(net, WithChunks(chunks))
-	group := FullMachine(top)
 
 	run := func() {
 		if err := ce.Start(AllReduce, 16*units.MB, group, nil); err != nil {
@@ -36,7 +64,7 @@ func TestChunkPathAllocsPerEvent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm engine arena and backend pools
+	run() // warm engine arena, backend pools and the layout's partition
 	before := eng.Fired()
 	run()
 	events := float64(eng.Fired() - before)
@@ -48,7 +76,7 @@ func TestChunkPathAllocsPerEvent(t *testing.T) {
 			perEvent, allocs, events)
 	}
 	// Absolute guard: setup plus at most ~1.5 objects per chunk. A
-	// per-phase allocation regression (6 phases/chunk here) would blow
+	// per-phase allocation regression (4-6 phases/chunk here) would blow
 	// straight through this.
 	if limit := 32 + 1.5*chunks; allocs > limit {
 		t.Errorf("collective run allocates %.0f objects, want <= %.0f", allocs, limit)

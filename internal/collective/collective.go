@@ -19,6 +19,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/topology"
@@ -103,11 +104,33 @@ type Engine struct {
 	// engines carry the ledger; under the fixed scheduler it is nil and
 	// collectives skip the O(members × spans) bookkeeping entirely.
 	projected [][]float64
+	// layouts interns the sub-group span layouts seen so far with their
+	// backend partition ids, so registering a layout costs one member
+	// enumeration per engine, not one per collective.
+	layouts []layoutPart
 
 	// Planner scratch, reused across chunks (planning is synchronous).
 	identScratch []int
 	orderScratch []int
 	usedScratch  []bool
+}
+
+type layoutPart struct {
+	spans []Span
+	part  int
+}
+
+// partition returns the backend partition of a sub-group layout,
+// registering it on first use. The lookup allocates nothing.
+func (e *Engine) partition(g Group) int {
+	for _, l := range e.layouts {
+		if slices.Equal(l.spans, g.Spans) {
+			return l.part
+		}
+	}
+	part := e.net.Partition(Group{Spans: g.Spans}.Members(e.top))
+	e.layouts = append(e.layouts, layoutPart{spans: g.Spans, part: part})
+	return part
 }
 
 // Option configures an Engine.
@@ -175,11 +198,12 @@ type collectiveRun struct {
 	op    Op
 	size  units.ByteSize
 	group Group
-	// members lists the member ranks — nil for a fixed-scheduler
-	// whole-machine run, which never needs them (its phases reserve whole
-	// dimensions and full is set instead).
+	// part and block name the group on the backend: its layout's
+	// partition (network.Whole for the entire machine) and its origin.
+	part, block int
+	// members lists the member ranks for the Themis ledger; nil under the
+	// fixed scheduler, whose phases reserve blocks in O(1).
 	members []int
-	full    bool // group spans the entire machine
 	spans   []Span
 	start   units.Time
 	pending int
@@ -210,25 +234,27 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		return fmt.Errorf("collective: group has no spans")
 	}
 	n := g.Size()
-	full := n == e.top.NumNPUs()
-	// A fixed-scheduler whole-machine collective — the dominant case for
-	// training workloads — never consults individual member ranks: its
-	// phases reserve whole dimensions through the backend's O(1) aggregate
-	// path. Only subset groups and the Themis ledger materialize members.
-	var members []int
-	if !full || e.policy == Themis {
-		members = g.Members(e.top)
-		n = len(members)
-	}
 	if n < 2 {
 		return fmt.Errorf("collective: group of size %d; need at least 2 members", n)
+	}
+	// Phases reserve one block of the group's layout on the backend in
+	// O(1), so the fixed scheduler never consults individual member
+	// ranks; only the Themis ledger materializes them.
+	part, block := network.Whole, 0
+	if n < e.top.NumNPUs() {
+		part, block = e.partition(g), g.Origin(e.top)
+	}
+	var members []int
+	if e.policy == Themis {
+		members = g.Members(e.top)
 	}
 	run := &collectiveRun{
 		op:      op,
 		size:    size,
 		group:   g,
+		part:    part,
+		block:   block,
 		members: members,
-		full:    full,
 		spans:   g.Spans,
 		start:   e.net.Now(),
 		traffic: make([]units.ByteSize, e.top.NumDims()),
@@ -249,7 +275,7 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		// DP dimension).
 		now := e.net.Now()
 		for si, sp := range run.spans {
-			backlog := (e.net.PhaseAvailability(members, sp.Phys) - now).Seconds()
+			backlog := (e.net.PhaseAvailability(part, block, sp.Phys) - now).Seconds()
 			proj := 0.0
 			for _, m := range members {
 				if p := e.projected[m][sp.Phys]; p > proj {
@@ -497,12 +523,7 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 	sp := run.spans[ph.span]
 	dim := e.top.Dims[sp.Phys]
 	traffic := dim.PhaseTraffic(phaseKind(ph.op), cs.size, sp.K)
-	var serEnd units.Time
-	if run.full {
-		_, serEnd = e.net.ReservePhaseAll(sp.Phys, traffic)
-	} else {
-		_, serEnd = e.net.ReservePhase(run.members, sp.Phys, traffic)
-	}
+	_, serEnd := e.net.ReservePhase(run.part, run.block, sp.Phys, traffic)
 	run.traffic[sp.Phys] += traffic
 	cs.size = phaseOutput(ph.op, cs.size, sp.K)
 	cs.done++

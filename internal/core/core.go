@@ -581,15 +581,10 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 			stats.Timeline = append(stats.Timeline, st.timeline...)
 		}
 	}
-	netStats := s.net.Stats()
-	stats.TrafficPerDim = make([]units.ByteSize, s.cfg.Topology.NumDims())
-	n := units.ByteSize(len(s.npus))
-	for d := range stats.TrafficPerDim {
-		var sum units.ByteSize
-		for rank := range s.npus {
-			sum += netStats.SentPerNPUDim[rank][d] + netStats.RecvPerNPUDim[rank][d]
-		}
-		stats.TrafficPerDim[d] = sum / n
+	total := s.net.Stats().EndpointBytesPerDim
+	stats.TrafficPerDim = make([]units.ByteSize, len(total))
+	for d, bytes := range total {
+		stats.TrafficPerDim[d] = bytes / units.ByteSize(len(s.npus))
 	}
 	return stats, nil
 }

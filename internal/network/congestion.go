@@ -29,7 +29,7 @@ func (b *Backend) TransitCharging() bool { return b.chargeTransit }
 // link along the model's transit path from src to dst (inclusive),
 // returning (src egress end, latest charged end). Blocks without a transit
 // path fall back to endpoint charging. factor (>= 1) is the cross-backend
-// fair-sharing contention multiplier.
+// fair-sharing contention multiplier. The caller settles dim.
 func (b *Backend) reserveTransit(src, dst, dim int, size units.ByteSize, factor float64) (units.Time, units.Time) {
 	d := b.top.Dims[dim]
 	stride := b.top.DimStride(dim)
@@ -39,35 +39,22 @@ func (b *Backend) reserveTransit(src, dst, dim int, size units.ByteSize, factor 
 	if len(path) == 0 {
 		return b.reserve(src, dst, dim, size, factor)
 	}
-	dur := b.scaleDur(dim, d.TransferTime(size))
-	if factor > 1 {
-		dur = units.Time(float64(dur) * factor)
-	}
+	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
-	now := b.eng.Now()
-	if f := b.dimFloor[dim]; f > now {
-		now = f // the dimension floor lower-bounds every link of the dim
-	}
+	// The dimension floor lower-bounds every link of the dim.
+	now := max(b.eng.Now(), b.dimFloor[dim])
 	base := src - srcPos*stride
 
 	var srcEnd, ready units.Time
 	for h, pos := range path {
 		li := b.linkIdx(base+pos*stride, dim)
-		start := b.linkFree[li]
-		if start < now {
-			start = now
-		}
-		end := start + dur
+		end := max(b.linkFree[li], now) + dur
 		b.linkFree[li] = end
 		if h == 0 {
 			srcEnd = end
 		}
-		if end > ready {
-			ready = end
-		}
+		ready = max(ready, end)
 	}
-	if ready > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = ready
-	}
+	b.dimMaxLink[dim] = max(b.dimMaxLink[dim], ready)
 	return srcEnd, ready
 }

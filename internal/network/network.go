@@ -63,21 +63,24 @@ type Backend struct {
 	eng *timeline.Engine
 	top *topology.Topology
 
-	// Link occupancy is kept as a dimension-level aggregate plus an
-	// optional per-link overlay, so whole-machine collective phases cost
-	// O(1) instead of O(NPUs) per phase:
+	// Link occupancy has three levels, so every collective phase costs
+	// O(1) instead of O(members). A link's free time is the latest of:
 	//
-	//   - dimFloor[dim] is a floor applied to every link of the dimension;
-	//     a phase that reserves all links writes it once.
-	//   - linkFree[npu*dims+dim], allocated lazily on the first per-link
-	//     reservation, overlays individual point-to-point traffic; a
-	//     link's effective free time is max(linkFree entry, dimFloor).
-	//   - dimMaxLink[dim] caches the maximum stored per-link entry, so a
-	//     full-dimension phase start never walks the overlay.
+	//   - dimFloor[dim], advanced by whole-machine phases;
+	//   - its block's floor in blocks[dim], advanced by the sub-group
+	//     phases of the partition that owns the dimension (phase.go);
+	//   - linkFree[npu*dims+dim], the lazily allocated per-link overlay
+	//     of point-to-point traffic, stalls and settled block floors.
+	//
+	// dimMaxLink[dim] is the latest free time of any link of the
+	// dimension, so a whole-machine phase never walks the lower levels.
 	linkFree   []units.Time
 	dimFloor   []units.Time
 	dimMaxLink []units.Time
+	blocks     []blockFloors
+	parts      []partition
 	npus, dims int
+	bw         []units.Bandwidth // effective bandwidth per dimension
 
 	// Rendezvous state for SimSend/SimRecv matching. Queue objects and
 	// their backing slices are recycled through the pools below.
@@ -95,13 +98,6 @@ type Backend struct {
 	// chargeTransit enables first-order congestion modeling: ring
 	// messages occupy every transit link, not just the endpoints.
 	chargeTransit bool
-
-	// phaseSent/phaseRecv[dim] accumulate per-NPU traffic charged uniformly
-	// to every NPU by whole-machine phases; Stats() folds them into the
-	// per-NPU matrices on demand. This keeps full-machine phases from
-	// writing 2×NPUs stats entries each.
-	phaseSent []units.ByteSize
-	phaseRecv []units.ByteSize
 
 	// fc, when non-nil, arbitrates this backend's flows against flows on
 	// other backends sharing the same physical fabric (the multi-job
@@ -134,16 +130,18 @@ type cbQueue struct {
 	head  int
 }
 
-// Stats accumulates per-dimension and aggregate traffic counters.
+// Stats holds per-dimension traffic totals. Every reservation adds to them
+// in O(1), whichever occupancy level — dimension floor, block floor or
+// per-link overlay — it charges.
 type Stats struct {
 	// BytesPerDim[d] is the total bytes that crossed dimension d,
 	// counted once per message.
 	BytesPerDim []units.ByteSize
-	// SentPerNPUDim[npu][d] / RecvPerNPUDim[npu][d] count per-NPU traffic;
-	// their sum is the paper's "message size per dimension" metric.
-	SentPerNPUDim [][]units.ByteSize
-	RecvPerNPUDim [][]units.ByteSize
-	Messages      int64
+	// EndpointBytesPerDim[d] is the bytes charged to NPU links of
+	// dimension d, sent plus received, summed over NPUs. Divided by the
+	// NPU count it is the paper's per-NPU "message size per dimension".
+	EndpointBytesPerDim []units.ByteSize
+	Messages            int64
 }
 
 // NewBackend builds an analytical backend over a topology, driven by the
@@ -155,17 +153,22 @@ func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 		top:        top,
 		dimFloor:   make([]units.Time, d),
 		dimMaxLink: make([]units.Time, d),
-		phaseSent:  make([]units.ByteSize, d),
-		phaseRecv:  make([]units.ByteSize, d),
+		blocks:     make([]blockFloors, d),
 		npus:       n,
 		dims:       d,
+		bw:         make([]units.Bandwidth, d),
 		arrived:    make(map[matchKey]*msgQueue),
 		waiting:    make(map[matchKey]*cbQueue),
 	}
+	for i, dim := range top.Dims {
+		b.blocks[i].part = -1
+		b.bw[i] = dim.EffectiveBandwidth()
+	}
 	b.stats.BytesPerDim = make([]units.ByteSize, d)
-	// The per-link array and the per-NPU stats matrices are O(NPUs) state;
-	// they allocate lazily on first use so backend setup — and whole-machine
-	// collective workloads, which never touch individual links — stay O(dims).
+	b.stats.EndpointBytesPerDim = make([]units.ByteSize, d)
+	// The per-link array and the block floors are O(NPUs) state; they
+	// allocate lazily on first use so backend setup — and whole-machine
+	// collective workloads, which touch neither — stay O(dims).
 	return b
 }
 
@@ -175,24 +178,6 @@ func NewBackend(eng *timeline.Engine, top *topology.Topology) *Backend {
 func (b *Backend) ensureLinks() {
 	if b.linkFree == nil {
 		b.linkFree = make([]units.Time, b.npus*b.dims)
-	}
-}
-
-// ensureStatsMatrices allocates the per-NPU traffic matrices. The matrices
-// share one backing array each: at large NPU counts the 2n row allocations
-// otherwise dominate backend setup.
-func (b *Backend) ensureStatsMatrices() {
-	if b.stats.SentPerNPUDim != nil {
-		return
-	}
-	n, d := b.npus, b.dims
-	b.stats.SentPerNPUDim = make([][]units.ByteSize, n)
-	b.stats.RecvPerNPUDim = make([][]units.ByteSize, n)
-	sent := make([]units.ByteSize, n*d)
-	recv := make([]units.ByteSize, n*d)
-	for i := 0; i < n; i++ {
-		b.stats.SentPerNPUDim[i] = sent[i*d : (i+1)*d : (i+1)*d]
-		b.stats.RecvPerNPUDim[i] = recv[i*d : (i+1)*d : (i+1)*d]
 	}
 }
 
@@ -217,13 +202,19 @@ type FlowController interface {
 // allocation-free and byte-identical to an isolated backend.
 func (b *Backend) SetFlowController(fc FlowController) { b.fc = fc }
 
-// scaleDur stretches a transfer's serialization time by the dimension's
-// bandwidth scale. Scale 1 (or a clean backend) returns dur untouched.
-func (b *Backend) scaleDur(dim int, dur units.Time) units.Time {
+// transferTime is the serialization time of size bytes on dim, stretched
+// by the dimension's bandwidth scale and then by the cross-backend
+// fair-sharing contention factor (>= 1). Scale 1 and factor 1 leave it
+// untouched, bit for bit.
+func (b *Backend) transferTime(dim int, size units.ByteSize, factor float64) units.Time {
+	dur := b.bw[dim].TransferTime(size)
 	if b.bwScale != nil {
 		if s := b.bwScale[dim]; s != 1 {
 			dur = units.Time(float64(dur) / s)
 		}
+	}
+	if factor > 1 {
+		dur = units.Time(float64(dur) * factor)
 	}
 	return dur
 }
@@ -264,9 +255,9 @@ func (b *Backend) DimBandwidthScale(dim int) float64 {
 // the scenario layer's NPU-failure/recovery primitive. Traffic touching the
 // NPU queues behind the stall, and synchronous collective phases gate on it
 // as their slowest member, which is exactly how a hung rank manifests to
-// the rest of a training job. The per-link overlay and each dimension's
-// cached maximum are bumped incrementally (O(dims) work); out-of-range NPUs
-// are ignored so scenario events never panic.
+// the rest of a training job. Each dimension's block floors are settled,
+// then the NPU's links and the dimension's cached maximum are bumped;
+// out-of-range NPUs are ignored so scenario events never panic.
 func (b *Backend) StallNPULinks(npu int, until units.Time) {
 	if npu < 0 || npu >= b.npus {
 		return
@@ -274,12 +265,9 @@ func (b *Backend) StallNPULinks(npu int, until units.Time) {
 	b.ensureLinks()
 	base := npu * b.dims
 	for d := 0; d < b.dims; d++ {
-		if b.linkFree[base+d] < until {
-			b.linkFree[base+d] = until
-		}
-		if b.dimMaxLink[d] < until {
-			b.dimMaxLink[d] = until
-		}
+		b.settle(d)
+		b.linkFree[base+d] = max(b.linkFree[base+d], until)
+		b.dimMaxLink[d] = max(b.dimMaxLink[d], until)
 	}
 }
 
@@ -310,24 +298,8 @@ func (b *Backend) getFlowDone(dim int) *flowDone {
 // Topology returns the backend's topology.
 func (b *Backend) Topology() *topology.Topology { return b.top }
 
-// Stats returns a snapshot reference of the accumulated traffic counters,
-// folding any pending whole-machine phase traffic into the per-NPU matrices
-// first so callers always see fully materialized counts.
-func (b *Backend) Stats() *Stats {
-	b.ensureStatsMatrices()
-	for d := 0; d < b.dims; d++ {
-		sent, recv := b.phaseSent[d], b.phaseRecv[d]
-		if sent == 0 && recv == 0 {
-			continue
-		}
-		for npu := 0; npu < b.npus; npu++ {
-			b.stats.SentPerNPUDim[npu][d] += sent
-			b.stats.RecvPerNPUDim[npu][d] += recv
-		}
-		b.phaseSent[d], b.phaseRecv[d] = 0, 0
-	}
-	return &b.stats
-}
+// Stats returns a reference to the accumulated traffic counters.
+func (b *Backend) Stats() *Stats { return &b.stats }
 
 // Now implements API.
 func (b *Backend) Now() units.Time { return b.eng.Now() }
@@ -351,40 +323,18 @@ func (b *Backend) linkIdx(npu, dim int) int { return npu*b.dims + dim }
 // Table IV uses; queueing the ends independently avoids artificial
 // convoy-chains around rings when every NPU sends and receives at once.
 // factor (>= 1) is the cross-backend fair-sharing contention multiplier;
-// 1 leaves the serialization time untouched.
+// 1 leaves the serialization time untouched. The caller settles dim.
 func (b *Backend) reserve(src, dst, dim int, size units.ByteSize, factor float64) (units.Time, units.Time) {
-	d := b.top.Dims[dim]
-	dur := b.scaleDur(dim, d.TransferTime(size))
-	if factor > 1 {
-		dur = units.Time(float64(dur) * factor)
-	}
+	dur := b.transferTime(dim, size, factor)
 	b.ensureLinks()
-	now := b.eng.Now()
-	if f := b.dimFloor[dim]; f > now {
-		now = f // the dimension floor lower-bounds every link of the dim
-	}
+	// The dimension floor lower-bounds every link of the dim.
+	now := max(b.eng.Now(), b.dimFloor[dim])
 	si, di := b.linkIdx(src, dim), b.linkIdx(dst, dim)
-	srcStart := b.linkFree[si]
-	if srcStart < now {
-		srcStart = now
-	}
-	dstStart := b.linkFree[di]
-	if dstStart < now {
-		dstStart = now
-	}
-	srcEnd, dstEnd := srcStart+dur, dstStart+dur
-	b.linkFree[si] = srcEnd
-	b.linkFree[di] = dstEnd
-	if dstEnd > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = dstEnd
-	}
-	if srcEnd > b.dimMaxLink[dim] {
-		b.dimMaxLink[dim] = srcEnd
-	}
-	ready := srcEnd
-	if dstEnd > ready {
-		ready = dstEnd
-	}
+	srcEnd := max(b.linkFree[si], now) + dur
+	dstEnd := max(b.linkFree[di], now) + dur
+	b.linkFree[si], b.linkFree[di] = srcEnd, dstEnd
+	ready := max(srcEnd, dstEnd)
+	b.dimMaxLink[dim] = max(b.dimMaxLink[dim], ready)
 	return srcEnd, ready
 }
 
@@ -455,6 +405,7 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	if b.fc != nil {
 		factor = b.fc.FlowStarted(dim)
 	}
+	b.settle(dim)
 	var srcEnd, ready units.Time
 	if b.chargeTransit {
 		srcEnd, ready = b.reserveTransit(src, dst, dim, size, factor)
@@ -471,9 +422,7 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 
 	b.stats.Messages++
 	b.stats.BytesPerDim[dim] += size
-	b.ensureStatsMatrices()
-	b.stats.SentPerNPUDim[src][dim] += size
-	b.stats.RecvPerNPUDim[dst][dim] += size
+	b.stats.EndpointBytesPerDim[dim] += 2 * size
 
 	if sentCB != nil {
 		b.eng.ScheduleAt(srcEnd, sentCB)

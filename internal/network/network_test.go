@@ -221,8 +221,10 @@ func TestTrafficStats(t *testing.T) {
 	if s.BytesPerDim[0] != 8*units.MB {
 		t.Errorf("BytesPerDim = %v", s.BytesPerDim[0])
 	}
-	if s.SentPerNPUDim[0][0] != 3*units.MB || s.RecvPerNPUDim[0][0] != 5*units.MB {
-		t.Errorf("NPU0 sent=%v recv=%v", s.SentPerNPUDim[0][0], s.RecvPerNPUDim[0][0])
+	// Each message is charged at both endpoints: NPU0 sent 3 MB and
+	// received 5 MB, NPU1 the reverse.
+	if s.EndpointBytesPerDim[0] != 16*units.MB {
+		t.Errorf("EndpointBytesPerDim = %v, want 16MB", s.EndpointBytesPerDim[0])
 	}
 	if s.Messages != 2 {
 		t.Errorf("Messages = %d", s.Messages)
@@ -290,23 +292,28 @@ func TestSentCallbackOnMultiLegRoute(t *testing.T) {
 func TestPhaseAvailabilityAndReserve(t *testing.T) {
 	eng := timeline.New()
 	b := NewBackend(eng, ring4())
-	members := []int{0, 1, 2, 3}
-	if got := b.PhaseAvailability(members, 0); got != 0 {
+	if got := b.PhaseAvailability(Whole, 0, 0); got != 0 {
 		t.Errorf("idle availability = %v", got)
 	}
-	start, end := b.ReservePhase(members, 0, 2*units.MB)
+	start, end := b.ReservePhase(Whole, 0, 0, 2*units.MB)
 	if start != 0 || end != units.FromMicros(20) {
 		t.Errorf("phase [%v, %v], want [0, 20us]", start, end)
 	}
 	// Second phase queues behind the first on every member.
-	if got := b.PhaseAvailability(members, 0); got != end {
+	if got := b.PhaseAvailability(Whole, 0, 0); got != end {
 		t.Errorf("availability after reserve = %v, want %v", got, end)
 	}
-	// Stats attribute half sent, half received.
+	// A pair partition's block {2,3} queues behind the whole-machine phase.
+	pairs := b.Partition([]int{0, 1})
+	if got := b.PhaseAvailability(pairs, 2, 0); got != end {
+		t.Errorf("block availability = %v, want %v", got, end)
+	}
+	b.ReservePhase(pairs, 2, 0, 2*units.MB)
+	// Every member is charged its 2 MB of sent+received traffic: 4 NPUs
+	// for the whole-machine phase, 2 for the block phase.
 	s := b.Stats()
-	if s.SentPerNPUDim[2][0]+s.RecvPerNPUDim[2][0] != 2*units.MB {
-		t.Errorf("phase traffic accounting wrong: %v + %v",
-			s.SentPerNPUDim[2][0], s.RecvPerNPUDim[2][0])
+	if s.EndpointBytesPerDim[0] != 12*units.MB {
+		t.Errorf("phase traffic accounting = %v, want 12MB", s.EndpointBytesPerDim[0])
 	}
 }
 

@@ -22,8 +22,11 @@
 package astrasim
 
 import (
+	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/chrometrace"
@@ -34,6 +37,7 @@ import (
 	"repro/internal/et"
 	"repro/internal/etgen"
 	"repro/internal/memory"
+	"repro/internal/strictjson"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -425,6 +429,34 @@ type Report struct {
 func toDuration(t units.Time) time.Duration {
 	return time.Duration(t / units.Nanosecond)
 }
+
+// decodeSpec strictly decodes one sweep, search, cluster or scenario spec
+// document into v: unknown fields and trailing data are errors.
+func decodeSpec(r io.Reader, what string, v any) error {
+	if err := strictjson.Decode(r, v); err != nil {
+		return fmt.Errorf("astrasim: parse %s spec: %w", what, err)
+	}
+	return nil
+}
+
+// writeJSON writes a result as an indented JSON document.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeCSV writes a result's records, header first, as RFC 4180 CSV.
+func writeCSV(w io.Writer, records [][]string) error {
+	return csv.NewWriter(w).WriteAll(records)
+}
+
+// csvFloat formats a number for CSV in the shortest form that parses back
+// to the same value.
+func csvFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// csvMicros formats a duration for CSV in microseconds.
+func csvMicros(d time.Duration) string { return csvFloat(float64(d) / float64(time.Microsecond)) }
 
 // Run generates the workload's trace and simulates it.
 func (m *Machine) Run(w Workload) (*Report, error) {

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -66,15 +66,11 @@ type ClusterSpec struct {
 func ClusterPlacements() []string { return cluster.Placements() }
 
 // LoadClusterSpec reads a ClusterSpec JSON document, rejecting unknown
-// fields so spec typos fail loudly.
+// fields and trailing data so spec typos fail loudly.
 func LoadClusterSpec(r io.Reader) (ClusterSpec, error) {
 	var s ClusterSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse cluster spec: %w", err)
-	}
-	return s, nil
+	err := decodeSpec(r, "cluster", &s)
+	return s, err
 }
 
 // ClusterOptions controls cluster execution.
@@ -84,21 +80,6 @@ type ClusterOptions struct {
 	// (cluster span / isolated makespan). One extra run per distinct
 	// (allocation, workload) pair.
 	Slowdowns bool
-}
-
-// RunClusterFile loads a cluster spec from a JSON file and simulates it —
-// the entry point of the CLIs' -cluster flag.
-func RunClusterFile(path string, opt ClusterOptions) (*ClusterResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadClusterSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return RunCluster(spec, opt)
 }
 
 // ClusterJobRow is one job's outcome.
@@ -279,12 +260,35 @@ func RunCluster(spec ClusterSpec, opt ClusterOptions) (*ClusterResult, error) {
 	return out, nil
 }
 
-// WriteJSON writes the result as an indented JSON document.
-func (r *ClusterResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// clusterResultFromInternal wraps an internal cluster result in the public
+// form (without isolated baselines) — shared by RunCluster and the
+// cluster-mode search objectives.
+func clusterResultFromInternal(name string, m *Machine, p cluster.Placement, seed int64, jobs []clusterJob, res *cluster.Result) *ClusterResult {
+	out := &ClusterResult{
+		Name:      name,
+		Fabric:    m.TopologySpec(),
+		Placement: p.String(),
+		Seed:      seed,
+		Makespan:  toDuration(res.Makespan),
+		Events:    res.Events,
+	}
+	for i, jr := range res.Jobs {
+		out.Jobs = append(out.Jobs, ClusterJobRow{
+			Job:       jr.Name,
+			Workload:  jobs[i].workload.Name(),
+			NPUs:      jr.NPUs,
+			Local:     jr.Local.String(),
+			FirstRank: jr.Ranks[0],
+			Arrival:   toDuration(jr.Arrival),
+			Finish:    toDuration(jr.Finish),
+			Report:    reportFromStats(jobs[i].workload.Name(), jr.Stats),
+		})
+	}
+	return out
 }
+
+// WriteJSON writes the result as an indented JSON document.
+func (r *ClusterResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteTable writes a human-readable per-job summary.
 func (r *ClusterResult) WriteTable(w io.Writer) error {
@@ -329,17 +333,13 @@ func (r *ClusterResult) WriteTable(w io.Writer) error {
 // WriteCSV writes one record per job with the headline metrics in
 // microseconds. Deterministic for a given result.
 func (r *ClusterResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "job,workload,npus,local,first_rank,arrival_us,finish_us,makespan_us,exposed_comm_us,exposed_remote_mem_us,slowdown"); err != nil {
-		return err
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	records := [][]string{{"job", "workload", "npus", "local", "first_rank", "arrival_us", "finish_us",
+		"makespan_us", "exposed_comm_us", "exposed_remote_mem_us", "slowdown"}}
 	for _, row := range r.Jobs {
-		if _, err := fmt.Fprintf(w, "%q,%q,%d,%q,%d,%g,%g,%g,%g,%g,%g\n",
-			row.Job, row.Workload, row.NPUs, row.Local, row.FirstRank,
-			us(row.Arrival), us(row.Finish), us(row.Report.Makespan),
-			us(row.Report.ExposedComm), us(row.Report.ExposedRemoteMem), row.Slowdown); err != nil {
-			return err
-		}
+		records = append(records, []string{row.Job, row.Workload, strconv.Itoa(row.NPUs), row.Local,
+			strconv.Itoa(row.FirstRank), csvMicros(row.Arrival), csvMicros(row.Finish),
+			csvMicros(row.Report.Makespan), csvMicros(row.Report.ExposedComm),
+			csvMicros(row.Report.ExposedRemoteMem), csvFloat(row.Slowdown)})
 	}
-	return nil
+	return writeCSV(w, records)
 }

@@ -124,6 +124,9 @@ func TestLoadClusterSpec(t *testing.T) {
 	if _, err := LoadClusterSpec(strings.NewReader(`{"fabrik": {}}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	if _, err := LoadClusterSpec(strings.NewReader(`{"jobs":[]}]]]`)); err == nil {
+		t.Error("trailing data accepted")
+	}
 }
 
 func TestRunClusterErrors(t *testing.T) {

@@ -88,133 +88,224 @@
 //	    {"kind": "straggle_npu", "npu": 5, "factor": 1.3}
 //	  ]
 //	}
+//
+// Spec files and -config are decoded strictly: unknown fields and any data
+// after the JSON document are errors. Every spec kind prints a table by
+// default, a JSON document with -json, or RFC 4180 CSV with -csv.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/prof"
+	"repro/internal/strictjson"
 )
 
 func main() {
-	var (
-		configPath = flag.String("config", "", "machine config JSON file (astrasim.MachineConfig)")
-		topo       = flag.String("topology", "", "topology shape, e.g. R(2)_FC(8)_R(8)_SW(4), T2D(4,4)_SW(8,2); registered blocks: "+strings.Join(astrasim.RegisteredBlocks(), ", "))
-		bw         = flag.String("bw", "", "per-dimension bandwidths in GB/s, comma separated")
-		scheduler  = flag.String("scheduler", "", "collective scheduler: baseline or themis (default: config file or baseline)")
-		tflops     = flag.Float64("tflops", 0, "NPU peak TFLOPS (default: config file or 234)")
-		workload   = flag.String("workload", "all_reduce", "workload: all_reduce|all_gather|reduce_scatter|all_to_all|gpt3|t1t|dlrm|moe|pipeline")
-		size       = flag.Int64("size", 1<<30, "collective size in bytes (collective workloads)")
-		tracePath  = flag.String("trace", "", "run an ASTRA-sim ET JSON file instead of a built-in workload")
-		pytorch    = flag.Bool("pytorch", false, "treat -trace as a PARAM-style PyTorch execution graph")
-		jsonOut    = flag.Bool("json", false, "print the report (or sweep result) as JSON")
-		timeline   = flag.String("timeline", "", "write a Chrome-trace timeline (chrome://tracing) to this file")
-		sweepPath  = flag.String("sweep", "", "run a machine x workload sweep grid from this JSON spec instead of a single simulation")
-		optPath    = flag.String("optimize", "", "run a budgeted design-space search from this JSON spec (astrasim.SearchSpec; strategies: "+strings.Join(astrasim.SearchStrategies(), ", ")+")")
-		clusPath   = flag.String("cluster", "", "co-simulate multiple training jobs sharing one fabric from this JSON spec (astrasim.ClusterSpec; placements: "+strings.Join(astrasim.ClusterPlacements(), ", ")+")")
-		scenPath   = flag.String("scenario", "", "run a failure/straggler scenario from this JSON spec (astrasim.ScenarioSpec) and report slowdown vs the clean run")
-		baselines  = flag.Bool("slowdowns", true, "with -cluster, also run isolated baselines and report per-job slowdowns")
-		parallel   = flag.Int("parallel", 0, "sweep/search worker count; 0 = all cores (results identical for any value)")
-		csvOut     = flag.Bool("csv", false, "print the sweep or search result as CSV")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "astrasim:", err)
+		os.Exit(1)
+	}
+}
 
-	if err := prof.Start(*cpuprofile, *memprofile); err != nil {
-		fatal(err)
+// options is the parsed command line.
+type options struct {
+	config, topology, bw, scheduler string
+	tflops                          float64
+	workload                        string
+	size                            int64
+	trace                           string
+	pytorch, json, csv              bool
+	timeline                        string
+	sweep, optimize, cluster        string
+	scenario                        string
+	slowdowns                       bool
+	parallel                        int
+	cpuprofile, memprofile          string
+}
+
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("astrasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.config, "config", "", "machine config JSON file (astrasim.MachineConfig)")
+	fs.StringVar(&o.topology, "topology", "", "topology shape, e.g. R(2)_FC(8)_R(8)_SW(4), T2D(4,4)_SW(8,2); registered blocks: "+strings.Join(astrasim.RegisteredBlocks(), ", "))
+	fs.StringVar(&o.bw, "bw", "", "per-dimension bandwidths in GB/s, comma separated")
+	fs.StringVar(&o.scheduler, "scheduler", "", "collective scheduler: baseline or themis (default: config file or baseline)")
+	fs.Float64Var(&o.tflops, "tflops", 0, "NPU peak TFLOPS (default: config file or 234)")
+	fs.StringVar(&o.workload, "workload", "all_reduce", "workload: all_reduce|all_gather|reduce_scatter|all_to_all|gpt3|t1t|dlrm|moe|pipeline")
+	fs.Int64Var(&o.size, "size", 1<<30, "collective size in bytes (collective workloads)")
+	fs.StringVar(&o.trace, "trace", "", "run an ASTRA-sim ET JSON file instead of a built-in workload")
+	fs.BoolVar(&o.pytorch, "pytorch", false, "treat -trace as a PARAM-style PyTorch execution graph")
+	fs.BoolVar(&o.json, "json", false, "print the report (or sweep result) as JSON")
+	fs.StringVar(&o.timeline, "timeline", "", "write a Chrome-trace timeline (chrome://tracing) to this file")
+	fs.StringVar(&o.sweep, "sweep", "", "run a machine x workload sweep grid from this JSON spec instead of a single simulation")
+	fs.StringVar(&o.optimize, "optimize", "", "run a budgeted design-space search from this JSON spec (astrasim.SearchSpec; strategies: "+strings.Join(astrasim.SearchStrategies(), ", ")+")")
+	fs.StringVar(&o.cluster, "cluster", "", "co-simulate multiple training jobs sharing one fabric from this JSON spec (astrasim.ClusterSpec; placements: "+strings.Join(astrasim.ClusterPlacements(), ", ")+")")
+	fs.StringVar(&o.scenario, "scenario", "", "run a failure/straggler scenario from this JSON spec (astrasim.ScenarioSpec) and report slowdown vs the clean run")
+	fs.BoolVar(&o.slowdowns, "slowdowns", true, "with -cluster, also run isolated baselines and report per-job slowdowns")
+	fs.IntVar(&o.parallel, "parallel", 0, "sweep/search worker count; 0 = all cores (results identical for any value)")
+	fs.BoolVar(&o.csv, "csv", false, "print the sweep or search result as CSV")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap allocation profile to this file at exit")
+	return o, fs.Parse(args)
+}
+
+// run executes one command line: a spec file when one of -sweep,
+// -optimize, -cluster or -scenario is given, a single simulation
+// otherwise. Results go to stdout; progress and notices to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	if err := prof.Start(o.cpuprofile, o.memprofile); err != nil {
+		return err
 	}
 	defer prof.Stop()
 
-	if *sweepPath != "" {
-		if err := runSweep(*sweepPath, *parallel, *jsonOut, *csvOut); err != nil {
-			fatal(err)
+	var res result
+	switch {
+	case o.sweep != "":
+		var spec astrasim.SweepSpec
+		if spec, err = load(o.sweep, astrasim.LoadSweepSpec); err == nil {
+			res, err = astrasim.RunSweep(spec, astrasim.SweepOptions{
+				Workers:  o.parallel,
+				Progress: astrasim.ProgressLine(stderr),
+			})
 		}
-		return
-	}
-	if *optPath != "" {
-		if err := runOptimize(*optPath, *parallel, *jsonOut, *csvOut); err != nil {
-			fatal(err)
+	case o.optimize != "":
+		var spec astrasim.SearchSpec
+		if spec, err = load(o.optimize, astrasim.LoadSearchSpec); err == nil {
+			// The search-wide total grows as the strategy commits to new
+			// rungs, so done == total mid-run does not mean finished; the
+			// in-place counter line is only terminated once the search
+			// returns.
+			progressed := false
+			res, err = astrasim.Optimize(spec, astrasim.SearchOptions{
+				Workers: o.parallel,
+				Progress: func(done, total int) {
+					progressed = true
+					fmt.Fprintf(stderr, "\rsearch: %d/%d evaluations", done, total)
+				},
+			})
+			if progressed {
+				fmt.Fprintln(stderr)
+			}
 		}
-		return
-	}
-	if *clusPath != "" {
-		if err := runCluster(*clusPath, *baselines, *jsonOut, *csvOut); err != nil {
-			fatal(err)
+	case o.cluster != "":
+		var spec astrasim.ClusterSpec
+		if spec, err = load(o.cluster, astrasim.LoadClusterSpec); err == nil {
+			res, err = astrasim.RunCluster(spec, astrasim.ClusterOptions{Slowdowns: o.slowdowns})
 		}
-		return
-	}
-	if *scenPath != "" {
-		if err := runScenario(*scenPath, *jsonOut, *csvOut); err != nil {
-			fatal(err)
+	case o.scenario != "":
+		var spec astrasim.ScenarioSpec
+		if spec, err = load(o.scenario, astrasim.LoadScenarioSpec); err == nil {
+			res, err = astrasim.RunScenario(spec)
 		}
-		return
+	default:
+		return runSingle(o, stdout, stderr)
 	}
-
-	cfg, err := machineConfig(*configPath, *topo, *bw, *scheduler, *tflops)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	switch {
+	case o.json:
+		return res.WriteJSON(stdout)
+	case o.csv:
+		return res.WriteCSV(stdout)
+	default:
+		return res.WriteTable(stdout)
+	}
+}
+
+// result is the output surface shared by sweep, search, cluster and
+// scenario results.
+type result interface {
+	WriteJSON(io.Writer) error
+	WriteCSV(io.Writer) error
+	WriteTable(io.Writer) error
+}
+
+// load opens a JSON file and decodes it with a strict loader.
+func load[T any](path string, decode func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return decode(f)
+}
+
+// runSingle simulates one workload on one machine and prints its report.
+func runSingle(o options, stdout, stderr io.Writer) error {
+	cfg, err := machineConfig(o)
+	if err != nil {
+		return err
 	}
 	m, err := astrasim.NewMachine(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	w, err := pickWorkload(*workload, *size, *tracePath, *pytorch)
+	w, err := pickWorkload(o)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var rep *astrasim.Report
-	if *timeline != "" {
-		f, err := os.Create(*timeline)
+	if o.timeline != "" {
+		f, err := os.Create(o.timeline)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
-		rep, err = m.RunWithTimeline(w, f)
-		if err != nil {
-			fatal(err)
+		if rep, err = m.RunWithTimeline(w, f); err != nil {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "timeline written to %s\n", *timeline)
-	} else {
-		rep, err = m.Run(w)
-		if err != nil {
-			fatal(err)
-		}
+		fmt.Fprintf(stderr, "timeline written to %s\n", o.timeline)
+	} else if rep, err = m.Run(w); err != nil {
+		return err
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+	if o.json {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(rep)
 	}
-	printReport(m, rep)
+	printReport(stdout, m, rep)
+	return nil
 }
 
-func machineConfig(path, topo, bw, scheduler string, tflops float64) (astrasim.MachineConfig, error) {
+// machineConfig reads -config strictly (unknown fields and trailing data
+// are errors), then applies the quick flags.
+func machineConfig(o options) (astrasim.MachineConfig, error) {
 	var cfg astrasim.MachineConfig
-	if path != "" {
-		data, err := os.ReadFile(path)
+	if o.config != "" {
+		var err error
+		cfg, err = load(o.config, func(r io.Reader) (astrasim.MachineConfig, error) {
+			var c astrasim.MachineConfig
+			err := strictjson.Decode(r, &c)
+			return c, err
+		})
 		if err != nil {
-			return cfg, err
-		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return cfg, fmt.Errorf("parse %s: %w", path, err)
+			return cfg, fmt.Errorf("parse %s: %w", o.config, err)
 		}
 	}
-	if topo != "" {
-		cfg.Topology = topo
+	if o.topology != "" {
+		cfg.Topology = o.topology
 	}
-	if bw != "" {
-		parts := strings.Split(bw, ",")
+	if o.bw != "" {
+		parts := strings.Split(o.bw, ",")
 		cfg.BandwidthsGBps = nil
 		for _, p := range parts {
 			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
@@ -227,11 +318,11 @@ func machineConfig(path, topo, bw, scheduler string, tflops float64) (astrasim.M
 	// Flags override the config file only when explicitly set; zero
 	// values fall back to the file's settings (and then to the library
 	// defaults).
-	if scheduler != "" {
-		cfg.Scheduler = scheduler
+	if o.scheduler != "" {
+		cfg.Scheduler = o.scheduler
 	}
-	if tflops != 0 {
-		cfg.PeakTFLOPS = tflops
+	if o.tflops != 0 {
+		cfg.PeakTFLOPS = o.tflops
 	}
 	if cfg.Topology == "" {
 		return cfg, fmt.Errorf("no topology: pass -topology or -config")
@@ -239,92 +330,16 @@ func machineConfig(path, topo, bw, scheduler string, tflops float64) (astrasim.M
 	return cfg, nil
 }
 
-func runSweep(path string, workers int, jsonOut, csvOut bool) error {
-	res, err := astrasim.RunSweepFile(path, astrasim.SweepOptions{
-		Workers:  workers,
-		Progress: astrasim.ProgressLine(os.Stderr),
-	})
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
-}
-
-func runOptimize(path string, workers int, jsonOut, csvOut bool) error {
-	// The search-wide total grows as the strategy commits to new rungs,
-	// so done == total mid-run does not mean finished; the in-place
-	// counter line is only terminated once the search returns.
-	progressed := false
-	res, err := astrasim.RunSearchFile(path, astrasim.SearchOptions{
-		Workers: workers,
-		Progress: func(done, total int) {
-			progressed = true
-			fmt.Fprintf(os.Stderr, "\rsearch: %d/%d evaluations", done, total)
-		},
-	})
-	if progressed {
-		fmt.Fprintln(os.Stderr)
-	}
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
-}
-
-func runCluster(path string, slowdowns, jsonOut, csvOut bool) error {
-	res, err := astrasim.RunClusterFile(path, astrasim.ClusterOptions{Slowdowns: slowdowns})
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
-}
-
-func runScenario(path string, jsonOut, csvOut bool) error {
-	res, err := astrasim.RunScenarioFile(path)
-	if err != nil {
-		return err
-	}
-	switch {
-	case jsonOut:
-		return res.WriteJSON(os.Stdout)
-	case csvOut:
-		return res.WriteCSV(os.Stdout)
-	default:
-		return res.WriteTable(os.Stdout)
-	}
-}
-
 // pickWorkload maps the single-run flags onto a declarative WorkloadSpec —
 // the same path sweep grids use.
-func pickWorkload(name string, size int64, tracePath string, pytorch bool) (astrasim.Workload, error) {
-	spec := astrasim.WorkloadSpec{Kind: name, SizeBytes: size}
-	if tracePath != "" {
-		spec = astrasim.WorkloadSpec{Kind: "trace", Path: tracePath}
-		if pytorch {
+func pickWorkload(o options) (astrasim.Workload, error) {
+	spec := astrasim.WorkloadSpec{Kind: o.workload, SizeBytes: o.size}
+	if o.trace != "" {
+		spec = astrasim.WorkloadSpec{Kind: "trace", Path: o.trace}
+		if o.pytorch {
 			spec.Kind = "pytorch_trace"
 		}
-	} else if name == "pipeline" {
+	} else if o.workload == "pipeline" {
 		spec = astrasim.WorkloadSpec{
 			Kind: "pipeline", Stages: 4, MicroBatches: 8, FlopsPerStage: 1e12,
 			ActivationBytes: 16 << 20, GradBytes: 64 << 20,
@@ -333,19 +348,19 @@ func pickWorkload(name string, size int64, tracePath string, pytorch bool) (astr
 	return spec.Workload()
 }
 
-func printReport(m *astrasim.Machine, rep *astrasim.Report) {
-	fmt.Printf("machine:   %s (%d NPUs, %.0f GB/s per NPU)\n",
+func printReport(w io.Writer, m *astrasim.Machine, rep *astrasim.Report) {
+	fmt.Fprintf(w, "machine:   %s (%d NPUs, %.0f GB/s per NPU)\n",
 		m.TopologySpec(), m.NumNPUs(), m.AggregateBandwidthGBps())
-	fmt.Printf("workload:  %s\n", rep.Workload)
-	fmt.Printf("makespan:  %v\n", rep.Makespan)
-	fmt.Printf("breakdown (mean per NPU):\n")
-	fmt.Printf("  compute:            %v\n", rep.Compute)
-	fmt.Printf("  exposed comm:       %v\n", rep.ExposedComm)
-	fmt.Printf("  exposed remote mem: %v\n", rep.ExposedRemoteMem)
-	fmt.Printf("  exposed local mem:  %v\n", rep.ExposedLocalMem)
-	fmt.Printf("  idle:               %v\n", rep.Idle)
-	fmt.Printf("traffic per dim (MB, sent+received per NPU): %v\n", fmtFloats(rep.TrafficPerDimMB))
-	fmt.Printf("collectives: %d, events: %d\n", rep.Collectives, rep.Events)
+	fmt.Fprintf(w, "workload:  %s\n", rep.Workload)
+	fmt.Fprintf(w, "makespan:  %v\n", rep.Makespan)
+	fmt.Fprintf(w, "breakdown (mean per NPU):\n")
+	fmt.Fprintf(w, "  compute:            %v\n", rep.Compute)
+	fmt.Fprintf(w, "  exposed comm:       %v\n", rep.ExposedComm)
+	fmt.Fprintf(w, "  exposed remote mem: %v\n", rep.ExposedRemoteMem)
+	fmt.Fprintf(w, "  exposed local mem:  %v\n", rep.ExposedLocalMem)
+	fmt.Fprintf(w, "  idle:               %v\n", rep.Idle)
+	fmt.Fprintf(w, "traffic per dim (MB, sent+received per NPU): %v\n", fmtFloats(rep.TrafficPerDimMB))
+	fmt.Fprintf(w, "collectives: %d, events: %d\n", rep.Collectives, rep.Events)
 }
 
 func fmtFloats(fs []float64) string {
@@ -354,10 +369,4 @@ func fmtFloats(fs []float64) string {
 		parts[i] = strconv.FormatFloat(f, 'f', 1, 64)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "astrasim:", err)
-	prof.Stop() // os.Exit skips defers; flush any active profile capture
-	os.Exit(1)
 }

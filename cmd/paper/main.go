@@ -23,11 +23,9 @@
 //	paper -exp all       everything above
 //
 // Every experiment grid runs on the parallel sweep engine; -parallel
-// bounds the workers (results are byte-identical for any count), -json
-// emits machine-readable documents, and -sweep runs a user-defined
-// machine x workload grid instead of a paper artifact:
-//
-//	paper -sweep grid.json -parallel 8 -json
+// bounds the workers (results are byte-identical for any count) and -json
+// emits machine-readable documents. User-defined machine x workload grids
+// run through astrasim -sweep.
 //
 // Pass -reduced to shrink the workload layer counts 8x (ratios preserved);
 // the full grids take a few minutes.
@@ -38,9 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro"
 	"repro/internal/collective"
 	"repro/internal/experiments"
 	"repro/internal/prof"
@@ -54,7 +50,6 @@ func main() {
 	reduced := flag.Bool("reduced", false, "shrink workloads for a quick pass")
 	parallel := flag.Int("parallel", 0, "sweep worker count; 0 = all cores (results identical for any value)")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	sweepPath := flag.String("sweep", "", "run a user-defined machine x workload sweep grid (JSON spec; topology blocks: "+strings.Join(astrasim.RegisteredBlocks(), ", ")+") instead of a paper experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
 	flag.Parse()
@@ -63,13 +58,6 @@ func main() {
 		fatal(err)
 	}
 	defer prof.Stop()
-
-	if *sweepPath != "" {
-		if err := runUserSweep(*sweepPath, *parallel, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	// One cache for the whole invocation: grids that overlap (e.g. the
 	// Fig. 11 baseline inside its own sweep) simulate shared cells once.
@@ -109,20 +97,6 @@ func main() {
 	if err := r(o, *jsonOut); err != nil {
 		fatal(err)
 	}
-}
-
-func runUserSweep(path string, workers int, jsonOut bool) error {
-	res, err := astrasim.RunSweepFile(path, astrasim.SweepOptions{
-		Workers:  workers,
-		Progress: astrasim.ProgressLine(os.Stderr),
-	})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return res.WriteJSON(os.Stdout)
-	}
-	return res.WriteTable(os.Stdout)
 }
 
 func fatal(err error) {

@@ -23,6 +23,7 @@ func fuzzSweepSeeds() []string {
 		`{"machines":[{"config":{"Topology":"Q(4)"}}],"workloads":[{"kind":"nope"}]}`,
 		`{"machines":[{"config":{"Topology":"R(4)","BandwidthsGBps":[-1]}}]}`,
 		`[1,2,3]`, `null`, `"str"`, `{"unknown_field":1}`, `{"name":`,
+		`{"name":"a","machines":[],"workloads":[]} {"name":"b"} trailing junk`,
 	}
 }
 
@@ -64,6 +65,7 @@ func fuzzSearchSeeds() []string {
 		`{"proxy_op":"bogus","workloads":[{"kind":"all_reduce"}]}`,
 		`{"cluster":{"jobs":[{"npus":16,"count":4,"workload":{"kind":"dlrm"}}],"placements":["packed","strided"]},"topologies":["SW(8)_SW(16,4)"],"bandwidths":[[250,250]]}`,
 		`{"strategy":"annealing"}`, `{"objective":"vibes"}`, `{`,
+		`{"workloads":[{"kind":"gpt3"}]}]`,
 	}
 }
 
@@ -84,7 +86,7 @@ func FuzzLoadSearchSpec(f *testing.F) {
 		for _, ws := range spec.Workloads {
 			_, _ = ws.Workload()
 		}
-		_, _, _ = searchObjective(spec.Objective)
+		_, _ = searchObjective(spec.Objective)
 	})
 }
 
@@ -96,6 +98,7 @@ func fuzzClusterSeeds() []string {
 		`{"fabric":{"Topology":"R(4)"},"placement":"diagonal","jobs":[{"npus":3,"workload":{"kind":"all_reduce"}}]}`,
 		`{"jobs":[{"npus":-1,"count":-2,"workload":{"kind":""}}]}`,
 		`{"fabric":{"Topology":"SW(4)","BandwidthsGBps":[250]},"jobs":[{"npus":2,"workload":{"kind":"all_reduce"}},{"npus":2,"workload":{"kind":"all_reduce"}},{"npus":2,"workload":{"kind":"all_reduce"}}]}`,
+		`{"jobs":[]}]]]`,
 	}
 }
 
@@ -110,6 +113,7 @@ func fuzzScenarioSeeds() []string {
 		`{"events":[{"kind":"fail_npu","npu":2}]}`,
 		`{"machine":{"Topology":"R(4)","BandwidthsGBps":[-100]},"events":[{"kind":"straggle_npu","npu":99,"factor":2}]}`,
 		`[1]`, `null`, `{"events":[`, `{"unknown":true}`,
+		`{"events":[]} {"events":[{"kind":"fail_npu"}]}`,
 	}
 }
 

@@ -52,13 +52,6 @@ func (k AccessKind) String() string {
 	return "load"
 }
 
-// API is the memory interface consumed by the execution engine: given a
-// tensor's location and size it returns the access time under the
-// configured memory system design.
-type API interface {
-	AccessTime(loc Location, kind AccessKind, size units.ByteSize) units.Time
-}
-
 // LocalModel is the paper's local memory model:
 //
 //	AccessTime = AccessLatency + TensorSize / MemoryBandwidth

@@ -11,7 +11,7 @@
 // counts sent+received bytes per NPU) while remaining congestion-free for
 // topology-aware hierarchical collectives, the regime the paper targets.
 //
-// The package also exposes the paper's NetworkAPI protocol (Snippet 2):
+// Backend also speaks the paper's NetworkAPI protocol (Snippet 2):
 // SimSend / SimRecv pairs rendezvous on (src, dst, tag) and invoke
 // callbacks on completion, and SimSchedule defers arbitrary work.
 //
@@ -37,25 +37,6 @@ type Message struct {
 	// Dim is the topology dimension the message travelled on, or -1 for a
 	// multi-dimension (dimension-ordered) route.
 	Dim int
-}
-
-// API is the frontend-facing protocol of the paper's Snippet 2. The system
-// layer is written against this interface so alternative backends (the
-// cycle-level simulator in internal/garnet, test fakes) are drop-in.
-type API interface {
-	// SimSend transmits size bytes from src to dst with a message tag.
-	// sentCB fires when the message has left src (its link is free again);
-	// the matching SimRecv's callback fires on delivery. Either callback
-	// may be nil.
-	SimSend(src, dst, tag int, size units.ByteSize, sentCB func())
-	// SimRecv registers interest in a message (src, dst, tag). recvCB
-	// fires when the matching send has been delivered. Posting the recv
-	// after the message arrived fires the callback immediately.
-	SimRecv(src, dst, tag int, size units.ByteSize, recvCB func(Message))
-	// SimSchedule runs fn after delay of simulated time.
-	SimSchedule(delay units.Time, fn func())
-	// Now returns the current simulated time.
-	Now() units.Time
 }
 
 // Backend is the analytical network backend.
@@ -301,10 +282,11 @@ func (b *Backend) Topology() *topology.Topology { return b.top }
 // Stats returns a reference to the accumulated traffic counters.
 func (b *Backend) Stats() *Stats { return &b.stats }
 
-// Now implements API.
+// Now returns the current simulated time (NetworkAPI sim_get_time).
 func (b *Backend) Now() units.Time { return b.eng.Now() }
 
-// SimSchedule implements API.
+// SimSchedule runs fn after delay of simulated time (NetworkAPI
+// sim_schedule).
 func (b *Backend) SimSchedule(delay units.Time, fn func()) { b.eng.Schedule(delay, fn) }
 
 // ScheduleActor defers a typed event — the allocation-free SimSchedule used
@@ -433,7 +415,10 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	b.eng.ScheduleActorAt(arrive, del)
 }
 
-// SimSend implements API using dimension-ordered routing: the message
+// SimSend transmits size bytes from src to dst with a message tag
+// (NetworkAPI sim_send). sentCB fires when the message has left src (its
+// link is free again); the matching SimRecv's callback fires on delivery.
+// Either callback may be nil. Routing is dimension-ordered: the message
 // traverses, in ascending dimension order, every dimension where the
 // endpoint coordinates differ, serializing on each dimension's links.
 func (b *Backend) SimSend(src, dst, tag int, size units.ByteSize, sentCB func()) {
@@ -517,7 +502,9 @@ func (r *legRun) deliverMsg(Message) {
 	b.deliver(msg)
 }
 
-// SimRecv implements API.
+// SimRecv registers interest in a message (src, dst, tag) (NetworkAPI
+// sim_recv). recvCB fires when the matching send has been delivered;
+// posting the recv after the message arrived fires it immediately.
 func (b *Backend) SimRecv(src, dst, tag int, size units.ByteSize, recvCB func(Message)) {
 	if recvCB == nil {
 		panic("network: SimRecv requires a callback")
@@ -617,5 +604,3 @@ func (b *Backend) EstimateP2P(src, dst int, size units.ByteSize) units.Time {
 	}
 	return t
 }
-
-var _ API = (*Backend)(nil)

@@ -1,10 +1,9 @@
 package astrasim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -111,15 +110,13 @@ func (s ScenarioSpec) buildScenario() (*scenario.Scenario, error) {
 }
 
 // LoadScenarioSpec reads a ScenarioSpec JSON document, rejecting unknown
-// fields and structurally invalid events so spec typos fail loudly. Bounds
+// fields, trailing data and structurally invalid events so spec typos fail loudly. Bounds
 // that depend on the machine (dimension and NPU ranges) are validated when
 // the scenario runs.
 func LoadScenarioSpec(r io.Reader) (ScenarioSpec, error) {
 	var s ScenarioSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse scenario spec: %w", err)
+	if err := decodeSpec(r, "scenario", &s); err != nil {
+		return s, err
 	}
 	if _, err := s.buildScenario(); err != nil {
 		return s, err
@@ -141,21 +138,6 @@ type ScenarioResult struct {
 	// Slowdown is the perturbed makespan over the clean makespan
 	// (1.0 = the scenario cost nothing).
 	Slowdown float64 `json:"slowdown"`
-}
-
-// RunScenarioFile loads a scenario spec from a JSON file and runs it — the
-// entry point of the CLI's -scenario flag.
-func RunScenarioFile(path string) (*ScenarioResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadScenarioSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return RunScenario(spec)
 }
 
 // RunScenario simulates the spec's workload twice on the same machine —
@@ -219,11 +201,7 @@ func (m *Machine) runScenario(w Workload, sc *scenario.Scenario) (*Report, error
 }
 
 // WriteJSON writes the result as an indented JSON document.
-func (r *ScenarioResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *ScenarioResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteTable writes a human-readable clean-vs-perturbed summary.
 func (r *ScenarioResult) WriteTable(w io.Writer) error {
@@ -251,20 +229,15 @@ func (r *ScenarioResult) WriteTable(w io.Writer) error {
 // WriteCSV writes one record per run with the headline metrics in
 // microseconds. Deterministic for a given result.
 func (r *ScenarioResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "run,workload,machine,events,makespan_us,exposed_comm_us,compute_us,slowdown"); err != nil {
-		return err
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	records := [][]string{{"run", "workload", "machine", "events", "makespan_us", "exposed_comm_us", "compute_us", "slowdown"}}
 	for _, row := range []struct {
 		label    string
 		rep      *Report
 		slowdown float64
 	}{{"clean", r.Clean, 1}, {"perturbed", r.Perturbed, r.Slowdown}} {
-		if _, err := fmt.Fprintf(w, "%q,%q,%q,%d,%g,%g,%g,%g\n",
-			row.label, r.Workload, r.Machine, r.Events,
-			us(row.rep.Makespan), us(row.rep.ExposedComm), us(row.rep.Compute), row.slowdown); err != nil {
-			return err
-		}
+		records = append(records, []string{row.label, r.Workload, r.Machine, strconv.Itoa(r.Events),
+			csvMicros(row.rep.Makespan), csvMicros(row.rep.ExposedComm), csvMicros(row.rep.Compute),
+			csvFloat(row.slowdown)})
 	}
-	return nil
+	return writeCSV(w, records)
 }

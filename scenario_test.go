@@ -83,6 +83,7 @@ func TestLoadScenarioSpecErrors(t *testing.T) {
 		{"negative_dim", `{"events":[{"kind":"fail_link","dim":-1}]}`},
 		{"negative_npu", `{"events":[{"kind":"straggle_npu","npu":-2,"factor":2}]}`},
 		{"fail_npu_no_recovery", `{"events":[{"kind":"fail_npu","npu":1}]}`},
+		{"trailing_data", `{"events":[]} x`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

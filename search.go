@@ -1,11 +1,10 @@
 package astrasim
 
 import (
-	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -101,15 +100,11 @@ type ClusterSearchSpec struct {
 }
 
 // LoadSearchSpec reads a SearchSpec JSON document, rejecting unknown
-// fields so spec typos fail loudly.
+// fields and trailing data so spec typos fail loudly.
 func LoadSearchSpec(r io.Reader) (SearchSpec, error) {
 	var s SearchSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse search spec: %w", err)
-	}
-	return s, nil
+	err := decodeSpec(r, "search", &s)
+	return s, err
 }
 
 // SearchOptions controls search execution.
@@ -120,21 +115,6 @@ type SearchOptions struct {
 	// Progress, when non-nil, is called as evaluations complete (per
 	// evaluation batch).
 	Progress func(done, total int)
-}
-
-// RunSearchFile loads a search spec from a JSON file and optimizes it —
-// the shared entry point of the CLIs' -optimize flag.
-func RunSearchFile(path string, opt SearchOptions) (*SearchResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadSearchSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return Optimize(spec, opt)
 }
 
 // SearchEval is one scored candidate: (machine, workload) in single-job
@@ -278,16 +258,130 @@ func buildSearchMachines(spec SearchSpec) (*searchCandidates, error) {
 	return out, nil
 }
 
-// searchObjective maps the spec's objective name to a report metric.
-func searchObjective(name string) (string, func(*Report) time.Duration, error) {
+// searchObjective canonicalizes the spec's objective name: "makespan"
+// scores a candidate's simulated makespan, "comm" its exposed
+// communication.
+func searchObjective(name string) (string, error) {
 	switch name {
 	case "", "makespan":
-		return "makespan", func(r *Report) time.Duration { return r.Makespan }, nil
+		return "makespan", nil
 	case "comm", "exposed_comm":
-		return "comm", func(r *Report) time.Duration { return r.ExposedComm }, nil
+		return "comm", nil
 	default:
-		return "", nil, fmt.Errorf("astrasim: unknown objective %q (want makespan or comm)", name)
+		return "", fmt.Errorf("astrasim: unknown objective %q (want makespan or comm)", name)
 	}
+}
+
+// searchAxis is the second axis of a search space, paired with every
+// machine candidate: the spec's workloads, or in cluster mode the
+// placement policies for its co-scheduled jobs.
+type searchAxis struct {
+	labels []string // workload names or placement policies
+	fps    []string // canonical content keys of the simulation cache
+	// jobs labels the co-scheduled jobs in cluster mode (the results'
+	// Workload column); empty on a workload axis.
+	jobs string
+	// fits reports whether entry a can run on machine m; nil means every
+	// entry fits every machine.
+	fits func(m *Machine, a int) error
+	// simulate runs entry a on machine m at full fidelity and returns the
+	// two objective metrics.
+	simulate func(m *Machine, a int) (makespan, comm time.Duration, err error)
+}
+
+// workloadAxis pairs every machine with every workload of the spec.
+func workloadAxis(spec SearchSpec, name string) (*searchAxis, error) {
+	if len(spec.Workloads) == 0 {
+		return nil, fmt.Errorf("astrasim: search %q has no workloads", spec.Name)
+	}
+	names, fps, err := workloadTable(spec.Workloads)
+	if err != nil {
+		return nil, fmt.Errorf("astrasim: search %s: %w", name, err)
+	}
+	return &searchAxis{labels: names, fps: fps,
+		simulate: func(m *Machine, a int) (time.Duration, time.Duration, error) {
+			// Each run materializes its own workload so trace readers and
+			// generators are never shared between goroutines.
+			w, err := spec.Workloads[a].Workload()
+			if err != nil {
+				return 0, 0, err
+			}
+			rep, err := m.Run(w)
+			if err != nil {
+				return 0, 0, err
+			}
+			return rep.Makespan, rep.ExposedComm, nil
+		},
+	}, nil
+}
+
+// placementAxis pairs every fabric with every placement policy of the
+// spec's cluster block; a candidate co-simulates the cluster's jobs. The
+// comm objective is the mean exposed communication across jobs —
+// fabric-interference sensitivity without the compute floor.
+func placementAxis(spec SearchSpec) (*searchAxis, error) {
+	cs := spec.Cluster
+	if len(cs.Jobs) == 0 {
+		return nil, fmt.Errorf("astrasim: cluster search %q has no jobs", spec.Name)
+	}
+	labels := cs.Placements
+	if len(labels) == 0 {
+		labels = cluster.Placements()
+	}
+	placed := make([]cluster.Placement, len(labels))
+	for i, name := range labels {
+		p, err := cluster.ParsePlacement(name)
+		if err != nil {
+			return nil, err
+		}
+		placed[i] = p
+	}
+	// Validate the job specs once up front.
+	validated, err := expandClusterJobs(cs.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	jobsJSON, err := json.Marshal(cs.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	fps := make([]string, len(labels))
+	for i, p := range labels {
+		fps[i] = fmt.Sprintf("cluster|%s|%d|%s", p, cs.Seed, jobsJSON)
+	}
+	// Every evaluation materializes its own jobs so trace generators are
+	// never shared between goroutines.
+	return &searchAxis{labels: labels, fps: fps,
+		jobs: fmt.Sprintf("cluster(%d jobs)", len(validated)),
+		// Pre-planning each (fabric, placement) pair makes ill-fitting job
+		// sizes and placement-incompatible layouts pruned candidates, not
+		// evaluation errors.
+		fits: func(m *Machine, a int) error {
+			jobs, err := expandClusterJobs(cs.Jobs)
+			if err != nil {
+				return err
+			}
+			cfg := clusterConfig(m, placed[a], cs.Seed, jobs)
+			_, err = cluster.Plan(cfg.Fabric, cfg.Jobs, cfg.Placement, cfg.Seed)
+			return err
+		},
+		simulate: func(m *Machine, a int) (time.Duration, time.Duration, error) {
+			jobs, err := expandClusterJobs(cs.Jobs)
+			if err != nil {
+				return 0, 0, err
+			}
+			res, err := cluster.Run(clusterConfig(m, placed[a], cs.Seed, jobs))
+			if err != nil {
+				return 0, 0, err
+			}
+			rep := clusterResultFromInternal(spec.Name, m, placed[a], cs.Seed, jobs, res)
+			var comm time.Duration
+			for _, j := range rep.Jobs {
+				comm += j.Report.ExposedComm
+			}
+			return rep.Makespan, comm / time.Duration(len(rep.Jobs)), nil
+		},
+	}, nil
 }
 
 // Optimize searches the spec's machine x workload space (or, in cluster
@@ -296,221 +390,28 @@ func searchObjective(name string) (string, func(*Report) time.Duration, error) {
 // estimator; only strategy-promoted survivors run the full event engine.
 // The result is byte-identical for any worker count.
 func Optimize(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
+	name := spec.Name
+	var axis *searchAxis
+	var err error
 	if spec.Cluster != nil {
-		return optimizeCluster(spec, opt)
+		if name == "" {
+			name = "cluster-search"
+		}
+		axis, err = placementAxis(spec)
+	} else {
+		if name == "" {
+			name = "search"
+		}
+		axis, err = workloadAxis(spec, name)
 	}
-	if len(spec.Workloads) == 0 {
-		return nil, fmt.Errorf("astrasim: search %q has no workloads", spec.Name)
+	if err != nil {
+		return nil, err
 	}
 	machines, err := buildSearchMachines(spec)
 	if err != nil {
 		return nil, err
 	}
-	name := spec.Name
-	if name == "" {
-		name = "search"
-	}
-	nW := len(spec.Workloads)
-	workloadNames, workloadFPs, err := workloadTable(spec.Workloads)
-	if err != nil {
-		return nil, fmt.Errorf("astrasim: search %s: %w", name, err)
-	}
-	objName, objFn, err := searchObjective(spec.Objective)
-	if err != nil {
-		return nil, err
-	}
-	proxyOp := spec.ProxyOp
-	if proxyOp == "" {
-		proxyOp = "all_reduce"
-	}
-	if _, _, err := collectiveOp(proxyOp); err != nil {
-		return nil, fmt.Errorf("astrasim: proxy op: %w", err)
-	}
-	proxySize := spec.ProxySizeBytes
-	if proxySize == 0 {
-		proxySize = 1 << 30
-	}
-
-	strat, err := search.StrategyFor(spec.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	// The screening estimate is machine-level: every workload paired with
-	// one machine ties, and ties rank by candidate id. With multiple
-	// workloads the default budget therefore promotes whole machines —
-	// ceil(feasibleMachines/eta) of them, all pairs — so no workload is
-	// dropped by id order. An explicit MaxSimulations is respected as-is,
-	// and Population only affects the random strategy, whose explicit
-	// sample keeps its own derived budget (ceil(Population/Eta)).
-	maxSims := spec.MaxSimulations
-	if maxSims <= 0 && nW > 1 && !(strat.Name() == "random" && spec.Population > 0) {
-		eta := spec.Eta
-		if eta <= 0 {
-			eta = 4
-		}
-		feasibleMachines := 0
-		for _, r := range machines.reasons {
-			if r == "" {
-				feasibleMachines++
-			}
-		}
-		if feasibleMachines > 0 {
-			maxSims = (feasibleMachines + eta - 1) / eta * nW
-		}
-	}
-	// Candidate id = machine-major (workload fastest), matching the sweep
-	// engine's row-major convention.
-	problem := search.Problem{
-		Name:       name,
-		Candidates: len(machines.names) * nW,
-		Label: func(i int) string {
-			return machines.names[i/nW] + " / " + workloadNames[i%nW]
-		},
-		Feasible: func(i int) error {
-			if r := machines.reasons[i/nW]; r != "" {
-				return fmt.Errorf("%s", r)
-			}
-			return nil
-		},
-		Estimate: func(i int) (float64, error) {
-			d, err := machines.mach[i/nW].EstimateCollective(proxyOp, proxySize)
-			return float64(d), err
-		},
-		Simulate: func(i int) (float64, error) {
-			// Each run materializes its own workload so trace readers and
-			// generators are never shared between goroutines.
-			w, err := spec.Workloads[i%nW].Workload()
-			if err != nil {
-				return 0, err
-			}
-			rep, err := machines.mach[i/nW].Run(w)
-			if err != nil {
-				return 0, err
-			}
-			return float64(objFn(rep)), nil
-		},
-		Fingerprint: func(i int, f search.Fidelity) string {
-			if f == search.FidelityEstimate {
-				// The estimate is machine-level: every workload paired with
-				// the same machine shares one closed-form evaluation.
-				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nW])
-			}
-			return fmt.Sprintf("astrasim-search-sim|%s|%s|%s", objName, machines.fps[i/nW], workloadFPs[i%nW])
-		},
-	}
-	res, err := search.Optimize(problem, search.Options{
-		Strategy:       spec.Strategy,
-		Seed:           spec.Seed,
-		MaxSimulations: maxSims,
-		Population:     spec.Population,
-		Eta:            spec.Eta,
-		Exec: sweep.Exec{
-			Workers:  opt.Workers,
-			Cache:    sweep.NewCache(),
-			Progress: opt.Progress,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	conv := func(e search.Eval) SearchEval {
-		return SearchEval{
-			Machine:  machines.names[e.Candidate/nW],
-			Workload: workloadNames[e.Candidate%nW],
-			Score:    time.Duration(e.Score),
-			Promoted: e.Promoted,
-		}
-	}
-	out := &SearchResult{
-		Name:        spec.Name,
-		Strategy:    res.Strategy,
-		Seed:        res.Seed,
-		Objective:   objName,
-		Candidates:  res.Candidates,
-		Feasible:    res.Feasible,
-		Estimates:   res.Estimates,
-		Simulations: res.Simulations,
-		Best:        conv(res.Best),
-		Wall:        res.Wall,
-	}
-	for _, g := range res.History {
-		gen := SearchGeneration{Index: g.Index, Fidelity: g.Fidelity}
-		for _, e := range g.Evals {
-			gen.Evals = append(gen.Evals, conv(e))
-		}
-		out.History = append(out.History, gen)
-	}
-	for _, p := range res.PrunedCandidates {
-		out.Pruned = append(out.Pruned, SearchPruned{
-			Machine:  machines.names[p.Candidate/nW],
-			Workload: workloadNames[p.Candidate%nW],
-			Reason:   p.Reason,
-		})
-	}
-	return out, nil
-}
-
-// clusterObjective maps the objective name to a cluster-result metric.
-func clusterObjective(name string) (string, func(*ClusterResult) time.Duration, error) {
-	switch name {
-	case "", "makespan":
-		// The cluster makespan: when the last job finishes.
-		return "makespan", func(r *ClusterResult) time.Duration { return r.Makespan }, nil
-	case "comm", "exposed_comm":
-		// Mean exposed communication across jobs — fabric-interference
-		// sensitivity without the compute floor.
-		return "comm", func(r *ClusterResult) time.Duration {
-			var sum time.Duration
-			for _, j := range r.Jobs {
-				sum += j.Report.ExposedComm
-			}
-			return sum / time.Duration(len(r.Jobs))
-		}, nil
-	default:
-		return "", nil, fmt.Errorf("astrasim: unknown objective %q (want makespan or comm)", name)
-	}
-}
-
-// optimizeCluster is the cluster-mode search: candidates are (fabric,
-// placement) pairs hosting the spec's co-scheduled jobs. Screening stays
-// machine-level (the closed-form proxy on the fabric); promoted survivors
-// run the full multi-job co-simulation.
-func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) {
-	cs := spec.Cluster
-	if len(cs.Jobs) == 0 {
-		return nil, fmt.Errorf("astrasim: cluster search %q has no jobs", spec.Name)
-	}
-	placements := cs.Placements
-	if len(placements) == 0 {
-		placements = cluster.Placements()
-	}
-	placed := make([]cluster.Placement, len(placements))
-	for i, name := range placements {
-		p, err := cluster.ParsePlacement(name)
-		if err != nil {
-			return nil, err
-		}
-		placed[i] = p
-	}
-	// Validate the job specs once up front.
-	if _, err := expandClusterJobs(cs.Jobs); err != nil {
-		return nil, err
-	}
-	jobsJSON, err := json.Marshal(cs.Jobs)
-	if err != nil {
-		return nil, err
-	}
-
-	machines, err := buildSearchMachines(spec)
-	if err != nil {
-		return nil, err
-	}
-	name := spec.Name
-	if name == "" {
-		name = "cluster-search"
-	}
-	objName, objFn, err := clusterObjective(spec.Objective)
+	objName, err := searchObjective(spec.Objective)
 	if err != nil {
 		return nil, err
 	}
@@ -530,86 +431,72 @@ func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) 
 		return nil, err
 	}
 
-	// feasible pre-plans each (fabric, placement) pair so ill-fitting job
-	// sizes and placement-incompatible layouts become pruned candidates,
-	// not evaluation errors.
-	nP := len(placements)
+	// Candidate id = machine-major (axis entry fastest), matching the
+	// sweep engine's row-major convention.
+	nA := len(axis.labels)
 	feasible := func(i int) error {
-		mi, pi := i/nP, i%nP
-		if r := machines.reasons[mi]; r != "" {
-			return fmt.Errorf("%s", r)
+		if r := machines.reasons[i/nA]; r != "" {
+			return errors.New(r)
 		}
-		m := machines.mach[mi]
-		jobs, err := expandClusterJobs(cs.Jobs)
-		if err != nil {
-			return err
+		if axis.fits == nil {
+			return nil
 		}
-		cfg := clusterConfig(m, placed[pi], cs.Seed, jobs)
-		_, err = cluster.Plan(cfg.Fabric, cfg.Jobs, cfg.Placement, cfg.Seed)
-		return err
+		return axis.fits(machines.mach[i/nA], i%nA)
 	}
-
-	// Like the multi-workload default, promote whole machines: the proxy
-	// is machine-level, so placements of one fabric tie and are ranked by
-	// candidate id, not merit.
+	// The screening estimate is machine-level: every axis entry paired
+	// with one machine ties, and ties rank by candidate id. With several
+	// entries the default budget therefore promotes whole machines —
+	// ceil(feasibleMachines/eta) of them, all pairs — so no workload or
+	// placement is dropped by id order. An explicit MaxSimulations is
+	// respected as-is, and Population only affects the random strategy,
+	// whose explicit sample keeps its own derived budget
+	// (ceil(Population/Eta)).
 	maxSims := spec.MaxSimulations
-	if maxSims <= 0 && nP > 1 && !(strat.Name() == "random" && spec.Population > 0) {
+	if maxSims <= 0 && nA > 1 && !(strat.Name() == "random" && spec.Population > 0) {
 		eta := spec.Eta
 		if eta <= 0 {
 			eta = 4
 		}
+		// A machine counts if any entry fits it — placement policies
+		// genuinely differ (strided can split blocks packed keeps whole).
 		feasibleMachines := 0
-		for mi, r := range machines.reasons {
-			if r != "" {
-				continue
-			}
-			// A machine counts if any placement lays the jobs out — the
-			// policies genuinely differ (strided can split blocks packed
-			// keeps whole).
-			for pi := range placed {
-				if feasible(mi*nP+pi) == nil {
+		for mi := range machines.names {
+			for a := 0; a < nA; a++ {
+				if feasible(mi*nA+a) == nil {
 					feasibleMachines++
 					break
 				}
 			}
 		}
 		if feasibleMachines > 0 {
-			maxSims = (feasibleMachines + eta - 1) / eta * nP
+			maxSims = (feasibleMachines + eta - 1) / eta * nA
 		}
 	}
-
 	problem := search.Problem{
 		Name:       name,
-		Candidates: len(machines.names) * nP,
+		Candidates: len(machines.names) * nA,
 		Label: func(i int) string {
-			return machines.names[i/nP] + " / " + placements[i%nP]
+			return machines.names[i/nA] + " / " + axis.labels[i%nA]
 		},
 		Feasible: feasible,
 		Estimate: func(i int) (float64, error) {
-			d, err := machines.mach[i/nP].EstimateCollective(proxyOp, proxySize)
+			d, err := machines.mach[i/nA].EstimateCollective(proxyOp, proxySize)
 			return float64(d), err
 		},
 		Simulate: func(i int) (float64, error) {
-			mi, pi := i/nP, i%nP
-			// Each run materializes its own workloads so trace generators
-			// are never shared between goroutines.
-			jobs, err := expandClusterJobs(cs.Jobs)
-			if err != nil {
-				return 0, err
+			makespan, comm, err := axis.simulate(machines.mach[i/nA], i%nA)
+			if objName == "comm" {
+				return float64(comm), err
 			}
-			res, err := cluster.Run(clusterConfig(machines.mach[mi], placed[pi], cs.Seed, jobs))
-			if err != nil {
-				return 0, err
-			}
-			rep := clusterResultFromInternal(spec.Name, machines.mach[mi], placed[pi], cs.Seed, jobs, res)
-			return float64(objFn(rep)), nil
+			return float64(makespan), err
 		},
 		Fingerprint: func(i int, f search.Fidelity) string {
 			if f == search.FidelityEstimate {
-				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nP])
+				// The estimate is machine-level: every entry paired with
+				// the same machine shares one closed-form evaluation.
+				return fmt.Sprintf("astrasim-search-est|%s|%d|%s", proxyOp, proxySize, machines.fps[i/nA])
 			}
-			return fmt.Sprintf("astrasim-cluster-sim|%s|%s|%d|%s|%s",
-				objName, placements[i%nP], cs.Seed, jobsJSON, machines.fps[i/nP])
+			return fmt.Sprintf("astrasim-search-sim|%s|%s|%s", objName, machines.fps[i/nA], axis.fps[i%nA])
 		},
 	}
 	res, err := search.Optimize(problem, search.Options{
@@ -628,15 +515,17 @@ func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) 
 		return nil, err
 	}
 
-	workload := fmt.Sprintf("cluster(%d jobs)", countClusterJobs(cs.Jobs))
 	conv := func(e search.Eval) SearchEval {
-		return SearchEval{
-			Machine:   machines.names[e.Candidate/nP],
-			Workload:  workload,
-			Placement: placements[e.Candidate%nP],
-			Score:     time.Duration(e.Score),
-			Promoted:  e.Promoted,
+		ev := SearchEval{
+			Machine:  machines.names[e.Candidate/nA],
+			Workload: axis.labels[e.Candidate%nA],
+			Score:    time.Duration(e.Score),
+			Promoted: e.Promoted,
 		}
+		if axis.jobs != "" {
+			ev.Workload, ev.Placement = axis.jobs, ev.Workload
+		}
+		return ev
 	}
 	out := &SearchResult{
 		Name:        spec.Name,
@@ -658,87 +547,32 @@ func optimizeCluster(spec SearchSpec, opt SearchOptions) (*SearchResult, error) 
 		out.History = append(out.History, gen)
 	}
 	for _, p := range res.PrunedCandidates {
-		out.Pruned = append(out.Pruned, SearchPruned{
-			Machine:   machines.names[p.Candidate/nP],
-			Placement: placements[p.Candidate%nP],
-			Reason:    p.Reason,
-		})
+		pr := SearchPruned{Machine: machines.names[p.Candidate/nA], Reason: p.Reason}
+		if axis.jobs != "" {
+			pr.Placement = axis.labels[p.Candidate%nA]
+		} else {
+			pr.Workload = axis.labels[p.Candidate%nA]
+		}
+		out.Pruned = append(out.Pruned, pr)
 	}
 	return out, nil
 }
 
-// countClusterJobs sums the job specs' replica counts.
-func countClusterJobs(specs []ClusterJobSpec) int {
-	n := 0
-	for _, js := range specs {
-		c := js.Count
-		if c == 0 {
-			c = 1
-		}
-		n += c
-	}
-	return n
-}
-
-// clusterResultFromInternal wraps an internal cluster result in the public
-// form (without isolated baselines) so objectives read one type.
-func clusterResultFromInternal(name string, m *Machine, p cluster.Placement, seed int64, jobs []clusterJob, res *cluster.Result) *ClusterResult {
-	out := &ClusterResult{
-		Name:      name,
-		Fabric:    m.TopologySpec(),
-		Placement: p.String(),
-		Seed:      seed,
-		Makespan:  toDuration(res.Makespan),
-		Events:    res.Events,
-	}
-	for i, jr := range res.Jobs {
-		out.Jobs = append(out.Jobs, ClusterJobRow{
-			Job:       jr.Name,
-			Workload:  jobs[i].workload.Name(),
-			NPUs:      jr.NPUs,
-			Local:     jr.Local.String(),
-			FirstRank: jr.Ranks[0],
-			Arrival:   toDuration(jr.Arrival),
-			Finish:    toDuration(jr.Finish),
-			Report:    reportFromStats(jobs[i].workload.Name(), jr.Stats),
-		})
-	}
-	return out
-}
-
 // WriteJSON writes the result as an indented JSON document — byte-
 // identical for any worker count.
-func (r *SearchResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *SearchResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteCSV writes the full history flat: one record per evaluation, in
 // rung order. Deterministic for a given result.
 func (r *SearchResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"generation", "fidelity", "machine", "workload", "placement", "score_us", "promoted"}); err != nil {
-		return err
-	}
+	records := [][]string{{"generation", "fidelity", "machine", "workload", "placement", "score_us", "promoted"}}
 	for _, g := range r.History {
 		for _, e := range g.Evals {
-			rec := []string{
-				strconv.Itoa(g.Index),
-				g.Fidelity,
-				e.Machine,
-				e.Workload,
-				e.Placement,
-				strconv.FormatFloat(float64(e.Score)/float64(time.Microsecond), 'g', -1, 64),
-				strconv.FormatBool(e.Promoted),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			records = append(records, []string{strconv.Itoa(g.Index), g.Fidelity, e.Machine, e.Workload,
+				e.Placement, csvMicros(e.Score), strconv.FormatBool(e.Promoted)})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, records)
 }
 
 // WriteTable writes a human-readable run summary: rung structure, budget

@@ -260,6 +260,9 @@ func TestLoadSearchSpec(t *testing.T) {
 	if _, err := LoadSearchSpec(strings.NewReader(`{"topologiez": []}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	if _, err := LoadSearchSpec(strings.NewReader(doc + `{"name":"second"}`)); err == nil {
+		t.Error("trailing data accepted")
+	}
 }
 
 func TestOptimizeSpecErrors(t *testing.T) {

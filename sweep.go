@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/convert"
@@ -55,6 +56,12 @@ type WorkloadSpec struct {
 // each time the trace is generated, so one spec can serve many sweep
 // cells.
 func (s WorkloadSpec) Workload() (Workload, error) {
+	if s.SizeBytes < 0 {
+		return nil, fmt.Errorf("astrasim: workload %q: negative size_bytes %d", s.Kind, s.SizeBytes)
+	}
+	if s.Iterations < 0 {
+		return nil, fmt.Errorf("astrasim: workload %q: negative iterations %d", s.Kind, s.Iterations)
+	}
 	size := s.SizeBytes
 	if size == 0 {
 		size = 1 << 30
@@ -158,15 +165,11 @@ type SweepSpec struct {
 }
 
 // LoadSweepSpec reads a SweepSpec JSON document, rejecting unknown fields
-// so grid typos fail loudly.
+// and trailing data so grid typos fail loudly.
 func LoadSweepSpec(r io.Reader) (SweepSpec, error) {
 	var s SweepSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("astrasim: parse sweep spec: %w", err)
-	}
-	return s, nil
+	err := decodeSpec(r, "sweep", &s)
+	return s, err
 }
 
 // SweepOptions controls sweep execution.
@@ -176,21 +179,6 @@ type SweepOptions struct {
 	Workers int
 	// Progress, when non-nil, is called as cells complete.
 	Progress func(done, total int)
-}
-
-// RunSweepFile loads a sweep spec from a JSON file and runs it — the
-// shared entry point of the CLIs' -sweep flag.
-func RunSweepFile(path string, opt SweepOptions) (*SweepResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := LoadSweepSpec(f)
-	if err != nil {
-		return nil, err
-	}
-	return RunSweep(spec, opt)
 }
 
 // ProgressLine returns a Progress callback rendering an in-place
@@ -310,11 +298,7 @@ func RunSweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 }
 
 // WriteJSON writes the result as an indented JSON document.
-func (r *SweepResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *SweepResult) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteTable writes a human-readable summary table.
 func (r *SweepResult) WriteTable(w io.Writer) error {
@@ -348,19 +332,14 @@ func (r *SweepResult) WriteTable(w io.Writer) error {
 // WriteCSV writes one row per cell with the report's headline metrics in
 // microseconds. Deterministic for a given result.
 func (r *SweepResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "machine,workload,makespan_us,compute_us,exposed_comm_us,exposed_remote_mem_us,exposed_local_mem_us,idle_us,collectives,events"); err != nil {
-		return err
-	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	records := [][]string{{"machine", "workload", "makespan_us", "compute_us", "exposed_comm_us",
+		"exposed_remote_mem_us", "exposed_local_mem_us", "idle_us", "collectives", "events"}}
 	for _, row := range r.Rows {
 		rep := row.Report
-		if _, err := fmt.Fprintf(w, "%q,%q,%g,%g,%g,%g,%g,%g,%d,%d\n",
-			row.Machine, row.Workload,
-			us(rep.Makespan), us(rep.Compute), us(rep.ExposedComm),
-			us(rep.ExposedRemoteMem), us(rep.ExposedLocalMem), us(rep.Idle),
-			rep.Collectives, rep.Events); err != nil {
-			return err
-		}
+		records = append(records, []string{row.Machine, row.Workload,
+			csvMicros(rep.Makespan), csvMicros(rep.Compute), csvMicros(rep.ExposedComm),
+			csvMicros(rep.ExposedRemoteMem), csvMicros(rep.ExposedLocalMem), csvMicros(rep.Idle),
+			strconv.Itoa(rep.Collectives), strconv.FormatUint(rep.Events, 10)})
 	}
-	return nil
+	return writeCSV(w, records)
 }

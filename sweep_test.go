@@ -2,9 +2,12 @@ package astrasim
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testSweepSpec() SweepSpec {
@@ -143,6 +146,86 @@ func TestLoadSweepSpec(t *testing.T) {
 
 	if _, err := LoadSweepSpec(strings.NewReader(`{"machiness": []}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+	// Concatenated documents and trailing junk must not be silently
+	// dropped.
+	if _, err := LoadSweepSpec(strings.NewReader(`{"name":"a","machines":[],"workloads":[]} {"name":"b"} trailing junk`)); err == nil {
+		t.Error("trailing data accepted")
+	}
+}
+
+// TestNegativeWorkloadSpecRejectedUpFront: a negative iteration count or
+// payload fails when the workload is materialized, so a sweep rejects it
+// before simulating any cell rather than mid-grid (or, for iterations,
+// silently running once).
+func TestNegativeWorkloadSpecRejectedUpFront(t *testing.T) {
+	for _, ws := range []string{
+		`{"kind":"all_reduce","iterations":-3}`,
+		`{"kind":"all_reduce","size_bytes":-5}`,
+	} {
+		doc := `{"machines":[{"config":{"Topology":"R(4)","BandwidthsGBps":[100]}}],"workloads":[{"kind":"all_gather"},` + ws + `]}`
+		spec, err := LoadSweepSpec(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spec.Workloads[1].Workload(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: Workload() = %v, want a negative-value error", ws, err)
+		}
+		done := 0
+		_, err = RunSweep(spec, SweepOptions{Progress: func(d, _ int) { done = d }})
+		if err == nil || !strings.Contains(err.Error(), "workload 1") {
+			t.Errorf("%s: RunSweep = %v, want an up-front error naming workload 1", ws, err)
+		}
+		if done != 0 {
+			t.Errorf("%s: %d cells simulated before the spec was rejected", ws, done)
+		}
+	}
+}
+
+// TestCSVQuotesNames: user-supplied names (machines, jobs, trace-path
+// workloads) may contain quotes and commas; every result's CSV must still
+// parse as RFC 4180 and round-trip them, with numbers unchanged.
+func TestCSVQuotesNames(t *testing.T) {
+	const name = `ring "a", b`
+	rep := &Report{Workload: name, Makespan: 1500 * time.Microsecond, Compute: 250 * time.Nanosecond}
+	for _, tc := range []struct {
+		kind string
+		res  interface{ WriteCSV(io.Writer) error }
+		rows int
+	}{
+		{"sweep", &SweepResult{Rows: []SweepRow{{Machine: name, Workload: name, Report: rep}}}, 1},
+		{"search", &SearchResult{History: []SearchGeneration{{Fidelity: "simulate",
+			Evals: []SearchEval{{Machine: name, Workload: name, Placement: name, Score: 1500 * time.Microsecond}}}}}, 1},
+		{"cluster", &ClusterResult{Jobs: []ClusterJobRow{{Job: name, Workload: name, Local: name, Report: rep}}}, 1},
+		{"scenario", &ScenarioResult{Machine: name, Workload: name, Clean: rep, Perturbed: rep, Slowdown: 1}, 2},
+	} {
+		var buf bytes.Buffer
+		if err := tc.res.WriteCSV(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		recs, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
+		if err != nil {
+			t.Errorf("%s: CSV does not parse: %v\n%s", tc.kind, err, buf.String())
+			continue
+		}
+		if len(recs) != tc.rows+1 {
+			t.Errorf("%s: %d records, want header + %d", tc.kind, len(recs), tc.rows)
+			continue
+		}
+		for _, rec := range recs[1:] {
+			names, micros := 0, 0
+			for _, f := range rec {
+				switch f {
+				case name:
+					names++
+				case "1500":
+					micros++
+				}
+			}
+			if names == 0 || micros == 0 {
+				t.Errorf("%s: record %q lost the name or the 1500 us value", tc.kind, rec)
+			}
+		}
 	}
 }
 

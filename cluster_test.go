@@ -220,3 +220,37 @@ func TestClusterSearchPlacementAxis(t *testing.T) {
 		t.Errorf("candidates = %d, want 2 fabrics x 2 placements", res1.Candidates)
 	}
 }
+
+// TestClusterCollapsedJobsCountEveryEvent: two packed 16-NPU DLRM jobs
+// on R(4)_FC(4)_SW(4) each take a whole R(4)_FC(4) block and share no
+// fabric dimension, so neither gets a flow controller and both simulate as
+// one representative rank on the shared timeline. The cluster and every
+// job must still report every event of the full machines: twice an
+// isolated job's count, as the per-rank simulation counts them.
+func TestClusterCollapsedJobsCountEveryEvent(t *testing.T) {
+	spec := ClusterSpec{
+		Fabric: MachineConfig{Topology: "R(4)_FC(4)_SW(4)", BandwidthsGBps: []float64{200, 100, 50}},
+		Jobs:   []ClusterJobSpec{{NPUs: 16, Count: 2, Workload: WorkloadSpec{Kind: "dlrm"}}},
+	}
+	res, err := RunCluster(spec, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(MachineConfig{Topology: res.Jobs[0].Local, BandwidthsGBps: []float64{200, 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := m.Run(DLRM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 1088
+	if res.Events != want || 2*iso.Events != want {
+		t.Errorf("cluster events %d, isolated job %d: want %d in all, %d per job", res.Events, iso.Events, want, want/2)
+	}
+	for _, j := range res.Jobs {
+		if j.Report.Events != want {
+			t.Errorf("job %s reports %d events, want the shared timeline's %d", j.Job, j.Report.Events, want)
+		}
+	}
+}

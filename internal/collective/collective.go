@@ -109,10 +109,22 @@ type Engine struct {
 	// enumeration per engine, not one per collective.
 	layouts []layoutPart
 
+	// represent counts the events representative runs stand for
+	// (WithRepresent); touched and diverged serve Diverged.
+	represent func(uint64)
+	touched   []dimTouch
+	diverged  bool
+
 	// Planner scratch, reused across chunks (planning is synchronous).
 	identScratch []int
 	orderScratch []int
 	usedScratch  []bool
+}
+
+// dimTouch is a representative run's last access to a dimension.
+type dimTouch struct {
+	at    units.Time
+	spans []Span
 }
 
 type layoutPart struct {
@@ -149,9 +161,33 @@ func WithChunks(n int) Option {
 	}
 }
 
+// WithRepresent sets the counter told, per executed chunk-phase event of a
+// representative run, how many further events it stands for.
+func WithRepresent(fn func(uint64)) Option { return func(e *Engine) { e.represent = fn } }
+
+// Diverged reports whether representative runs of two layouts touched one
+// dimension (reserved it, or read its backlog or projected load) in the
+// same instant. Their blocks may then interleave there in an order no
+// single block reproduces.
+func (e *Engine) Diverged() bool { return e.diverged }
+
+// touch records a representative run's access to dimension phys now.
+func (e *Engine) touch(run *collectiveRun, phys int) {
+	if run.copies == 0 {
+		return
+	}
+	t := &e.touched[phys]
+	if now := e.net.Now(); t.at != now || t.spans == nil {
+		*t = dimTouch{now, run.spans}
+	} else if !slices.Equal(t.spans, run.spans) {
+		e.diverged = true
+	}
+}
+
 // NewEngine builds a collective engine over the given backend.
 func NewEngine(net *network.Backend, opts ...Option) *Engine {
 	e := &Engine{net: net, top: net.Topology(), policy: Baseline, chunks: 64}
+	e.touched = make([]dimTouch, e.top.NumDims())
 	for _, o := range opts {
 		o(e)
 	}
@@ -191,7 +227,12 @@ type chunkState struct {
 }
 
 // Act implements timeline.Actor: advance this chunk to its next phase.
-func (cs *chunkState) Act() { cs.eng.advance(cs.run, cs) }
+func (cs *chunkState) Act() {
+	if cs.run.copies > 1 && cs.eng.represent != nil {
+		cs.eng.represent(uint64(cs.run.copies - 1))
+	}
+	cs.eng.advance(cs.run, cs)
+}
 
 // collectiveRun is the in-flight state of one collective.
 type collectiveRun struct {
@@ -216,6 +257,9 @@ type collectiveRun struct {
 	contrib []float64
 	done    func(Result)
 	chunks  int
+	// copies is the block count a representative run stands for; 0 for
+	// an ordinary run.
+	copies int
 }
 
 // Start launches a collective of the given total size over a group and
@@ -227,6 +271,22 @@ type collectiveRun struct {
 //   - AllGather(S):      every member starts with S/|group|; ends with S.
 //   - AllToAll(S):       every member exchanges a total of S bytes.
 func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) error {
+	return e.start(op, size, g, false, done)
+}
+
+// StartRepresentative launches g's collective on behalf of every block of
+// its layout, all running it at once, as the blocks of a symmetric trace
+// do. Their link floors are then all equal to the dimension's latest link,
+// so reserving each phase on the whole machine yields any block's start
+// and end and charges the traffic of all of them. The result is one
+// block's; each chunk-phase event stands for one per block. The Themis
+// ledger tracks g.Base alone, whose entries equal every member's.
+// Diverged reports when the symmetry may not hold.
+func (e *Engine) StartRepresentative(op Op, size units.ByteSize, g Group, done func(Result)) error {
+	return e.start(op, size, g, true, done)
+}
+
+func (e *Engine) start(op Op, size units.ByteSize, g Group, whole bool, done func(Result)) error {
 	if size <= 0 {
 		return fmt.Errorf("collective: non-positive size %d", size)
 	}
@@ -240,13 +300,18 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 	// Phases reserve one block of the group's layout on the backend in
 	// O(1), so the fixed scheduler never consults individual member
 	// ranks; only the Themis ledger materializes them.
-	part, block := network.Whole, 0
-	if n < e.top.NumNPUs() {
+	part, block, copies := network.Whole, 0, 0
+	if whole {
+		copies = e.top.NumNPUs() / n
+	} else if n < e.top.NumNPUs() {
 		part, block = e.partition(g), g.Origin(e.top)
 	}
 	var members []int
 	if e.policy == Themis {
 		members = g.Members(e.top)
+		if whole {
+			members = []int{g.Base}
+		}
 	}
 	run := &collectiveRun{
 		op:      op,
@@ -261,6 +326,7 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		loads:   make([]float64, len(g.Spans)),
 		done:    done,
 		chunks:  e.chunks,
+		copies:  copies,
 	}
 	startSize := InitialShard(op, size, n)
 	if startSize <= 0 {
@@ -275,6 +341,7 @@ func (e *Engine) Start(op Op, size units.ByteSize, g Group, done func(Result)) e
 		// DP dimension).
 		now := e.net.Now()
 		for si, sp := range run.spans {
+			e.touch(run, sp.Phys)
 			backlog := (e.net.PhaseAvailability(part, block, sp.Phys) - now).Seconds()
 			proj := 0.0
 			for _, m := range members {
@@ -523,6 +590,7 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 	sp := run.spans[ph.span]
 	dim := e.top.Dims[sp.Phys]
 	traffic := dim.PhaseTraffic(phaseKind(ph.op), cs.size, sp.K)
+	e.touch(run, sp.Phys)
 	_, serEnd := e.net.ReservePhase(run.part, run.block, sp.Phys, traffic)
 	run.traffic[sp.Phys] += traffic
 	cs.size = phaseOutput(ph.op, cs.size, sp.K)
@@ -535,6 +603,7 @@ func (e *Engine) advance(run *collectiveRun, cs *chunkState) {
 func (e *Engine) finish(run *collectiveRun) {
 	if run.contrib != nil {
 		for si, sp := range run.spans {
+			e.touch(run, sp.Phys)
 			for _, m := range run.members {
 				e.projected[m][sp.Phys] -= run.contrib[si]
 			}

@@ -11,6 +11,13 @@
 // collective issued on a communicator instance by each member NPU is the
 // same logical collective, and it launches once every member has reached
 // it — synchronous-training semantics.
+//
+// Symmetric runs are collapsed: when every rank shares one template and
+// nothing tells ranks apart, Start drives rank 0 alone. Each collective
+// launches for every block of its layout (collective.StartRepresentative)
+// and each event counts once per rank or block it stands for, so RunStats
+// are the full machine's. Where same-instant ties could reach blocks in
+// different orders on the per-rank path, Finalize re-simulates every rank.
 package core
 
 import (
@@ -197,6 +204,16 @@ type Simulator struct {
 	collLog   []collective.Result
 	remaining int
 
+	// copies is how many ranks each simulated rank stands for: the NPU
+	// count when Start collapsed the run onto rank 0, else 1. forceFull
+	// disables the collapse. A collapsed run keeps its trace and the
+	// fields settled uses.
+	copies             int
+	forceFull          bool
+	trace              *et.Trace
+	doneAt, collDoneAt units.Time
+	diverged           bool
+
 	// straggle holds per-NPU compute-time multipliers set by scenario
 	// events; the zero value means no stragglers.
 	straggle compute.ScaleTable
@@ -292,7 +309,8 @@ func NewSimulatorOn(eng *timeline.Engine, cfg Config) (*Simulator, error) {
 	net.SetFlowController(cfg.FlowController)
 	coll := collective.NewEngine(net,
 		collective.WithPolicy(cfg.Policy),
-		collective.WithChunks(cfg.Chunks))
+		collective.WithChunks(cfg.Chunks),
+		collective.WithRepresent(eng.Represent))
 	return &Simulator{
 		cfg:        cfg,
 		eng:        eng,
@@ -340,15 +358,21 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 	}
 	s.startAt = at
 
-	s.npus = make([]*npuState, trace.NumNPUs)
+	s.copies = 1
+	graphs := trace.Graphs
+	if s.symmetric(tmpls) {
+		s.copies, s.trace, s.doneAt, s.collDoneAt = trace.NumNPUs, trace, -1, -1
+		graphs = []*et.Graph{{NPU: 0, Nodes: tmpls[0].nodes}}
+	}
+	s.npus = make([]*npuState, len(graphs))
 	total := 0
-	for _, g := range trace.Graphs {
+	for _, g := range graphs {
 		total += len(g.Nodes)
 	}
-	// One arena holds every rank's node state; each rank starts from its
-	// template's dependency counts.
+	// One arena holds every simulated rank's node state; each rank starts
+	// from its template's dependency counts.
 	arena := make([]int32, 0, total)
-	for i, g := range trace.Graphs {
+	for i, g := range graphs {
 		tmpl := tmpls[i]
 		lo := len(arena)
 		arena = append(arena, tmpl.indeg...)
@@ -383,6 +407,21 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 		s.eng.ScheduleAt(at, s.release)
 	}
 	return nil
+}
+
+// symmetric reports whether rank 0 can stand for every rank (see the
+// package doc).
+func (s *Simulator) symmetric(tmpls []*graphTemplate) bool {
+	c := s.cfg
+	ok := !s.forceFull && (c.Scenario == nil || len(c.Scenario.Events) == 0) &&
+		c.FlowController == nil && c.RemoteArbiter == nil && !c.Memory.HasPool && !c.RecordTimeline
+	for _, t := range tmpls {
+		ok = ok && t == tmpls[0]
+	}
+	for _, n := range tmpls[0].nodes {
+		ok = ok && n.Kind != et.KindSend && n.Kind != et.KindRecv
+	}
+	return ok
 }
 
 // applyScenarioEvent dispatches one perturbation to the layer it targets.
@@ -560,15 +599,19 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 	if s.npus == nil {
 		return nil, fmt.Errorf("core: Finalize before Start")
 	}
+	if s.copies > 1 && (s.diverged || s.coll.Diverged()) {
+		return s.rerunFull()
+	}
 	if s.remaining > 0 {
 		return nil, fmt.Errorf("core: simulation deadlocked with %d nodes pending (unmatched P2P or incomplete collective rendezvous); first stuck: %s",
 			s.remaining, s.describeStuck())
 	}
 
+	n := s.cfg.Topology.NumNPUs()
 	makespan := s.finished - s.startAt
 	stats := &RunStats{
 		Makespan:    makespan,
-		PerNPU:      make([]Breakdown, len(s.npus)),
+		PerNPU:      make([]Breakdown, n),
 		Collectives: s.collLog,
 		Events:      s.eng.Fired(),
 	}
@@ -581,12 +624,50 @@ func (s *Simulator) Finalize() (*RunStats, error) {
 			stats.Timeline = append(stats.Timeline, st.timeline...)
 		}
 	}
+	for i := len(s.npus); i < n; i++ {
+		stats.PerNPU[i] = stats.PerNPU[0]
+	}
 	total := s.net.Stats().EndpointBytesPerDim
 	stats.TrafficPerDim = make([]units.ByteSize, len(total))
 	for d, bytes := range total {
-		stats.TrafficPerDim[d] = bytes / units.ByteSize(len(s.npus))
+		stats.TrafficPerDim[d] = bytes / units.ByteSize(n)
 	}
 	return stats, nil
+}
+
+// rerunFull re-simulates a voided collapsed run per rank on a private
+// engine. The shared engine's event count stands: it does not depend on
+// the timing.
+func (s *Simulator) rerunFull() (*RunStats, error) {
+	full, err := NewSimulator(s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	full.forceFull = true
+	if err := full.Start(s.trace, s.startAt); err != nil {
+		return nil, err
+	}
+	if _, err := full.eng.Run(); err != nil {
+		return nil, err
+	}
+	stats, err := full.Finalize()
+	if err == nil {
+		s.finished, stats.Events = full.finished, s.eng.Fired()
+	}
+	return stats, err
+}
+
+// settled records a completion now in a collapsed run. Per rank, a
+// collective's completion reaches its blocks one by one, so ranks of
+// different blocks may order it differently against a tied completion:
+// that voids the collapse.
+func (s *Simulator) settled(collective bool) {
+	now := s.eng.Now()
+	s.diverged = s.diverged || s.doneAt == now && (collective || s.collDoneAt == now)
+	s.doneAt = now
+	if collective {
+		s.collDoneAt = now
+	}
 }
 
 // describeStuck names the first stuck node, lowest rank first and then in
@@ -705,6 +786,8 @@ func (s *Simulator) issue(st *npuState, i int32) {
 func (s *Simulator) runTimed(st *npuState, i int32, dur units.Time, counter *int) {
 	s.markBusy(st, counter)
 	s.eng.Schedule(dur, func() {
+		s.eng.Represent(uint64(s.copies - 1))
+		s.settled(false)
 		s.markFree(st, counter)
 		s.complete(st, i)
 	})
@@ -736,10 +819,16 @@ func (s *Simulator) markFree(st *npuState, counter *int) {
 }
 
 // issueCollective implements the rendezvous protocol and launches the
-// collective when the last member arrives.
+// collective when the last member arrives. In a collapsed run every member
+// arrives when rank 0 does.
 func (s *Simulator) issueCollective(st *npuState, i int32) {
 	key := st.tmpl.commKey[i]
 	group := collective.Group{Spans: s.layouts[key/2], Base: st.rank}
+	s.markBusy(st, &st.nComm) // waiting for peers counts as communication
+	if s.copies > 1 {
+		s.launchCollective(&pendingCollective{group: group, members: []int{st.rank}, nodes: []int32{i}}, st.tmpl.nodes[i])
+		return
+	}
 	seq := st.collSeq[key]
 	st.collSeq[key]++
 
@@ -756,7 +845,6 @@ func (s *Simulator) issueCollective(st *npuState, i int32) {
 	}
 	p.nodes[sort.SearchInts(p.members, st.rank)] = i
 	p.arrived++
-	s.markBusy(st, &st.nComm) // waiting for peers counts as communication
 	if p.arrived < len(p.members) {
 		return
 	}
@@ -764,15 +852,22 @@ func (s *Simulator) issueCollective(st *npuState, i int32) {
 	s.launchCollective(p, st.tmpl.nodes[i])
 }
 
+// launchCollective runs a collective whose members have all arrived; in a
+// collapsed run, one per block of its layout.
 func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
+	copies, start := 1, s.coll.Start
+	if s.copies > 1 {
+		copies, start = s.copies/p.group.Size(), s.coll.StartRepresentative
+	}
 	finish := func(res collective.Result, ok bool) {
+		s.settled(true)
 		for pos, rank := range p.members {
 			member := s.npus[rank]
 			s.markFree(member, &member.nComm)
 			s.complete(member, p.nodes[pos])
 		}
-		if ok && len(s.collLog) < s.cfg.CollectiveLogLimit {
-			s.collLog = append(s.collLog, res)
+		for c := 0; ok && c < copies && len(s.collLog) < s.cfg.CollectiveLogLimit; c++ {
+			s.collLog = append(s.collLog, res) // copies share TrafficPerDim
 		}
 	}
 
@@ -812,7 +907,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 	}
 
 	op := mapCollective(n.Collective)
-	err := s.coll.Start(op, units.ByteSize(n.CommBytes), p.group, func(res collective.Result) {
+	err := start(op, units.ByteSize(n.CommBytes), p.group, func(res collective.Result) {
 		finish(res, true)
 	})
 	if err != nil {

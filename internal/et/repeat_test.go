@@ -83,3 +83,35 @@ func TestRepeatEdgeCases(t *testing.T) {
 		t.Error("invalid input accepted")
 	}
 }
+
+// TestRepeatSharesNodeLists: graphs that share a node list share its
+// repeated clone, so a symmetric trace stays symmetric; graphs with their
+// own lists keep their own.
+func TestRepeatSharesNodeLists(t *testing.T) {
+	shared := []*Node{
+		{ID: 1, Kind: KindCompute, FLOPs: 1e9},
+		{ID: 2, Kind: KindComm, Collective: CollAllReduce, CommBytes: 1 << 20, Deps: []int{1}},
+	}
+	own := []*Node{{ID: 1, Kind: KindCompute, FLOPs: 2e9}}
+	tr := &Trace{Name: "spmd", NumNPUs: 4}
+	for r := 0; r < 4; r++ {
+		nodes := shared
+		if r == 2 {
+			nodes = own
+		}
+		tr.Graphs = append(tr.Graphs, &Graph{NPU: r, Nodes: nodes})
+	}
+	out, err := Repeat(tr, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &out.Graphs[0].Nodes[0]
+	for _, r := range []int{1, 3} {
+		if &out.Graphs[r].Nodes[0] != first || len(out.Graphs[r].Nodes) != 6 {
+			t.Errorf("graph %d does not share rank 0's repeated node list", r)
+		}
+	}
+	if &out.Graphs[2].Nodes[0] == first || len(out.Graphs[2].Nodes) != 3 {
+		t.Errorf("graph 2 lost its own node list")
+	}
+}

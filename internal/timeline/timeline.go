@@ -89,8 +89,10 @@ type Engine struct {
 	zq     []int32
 	zqHead int
 
-	fired  uint64
-	budget uint64 // max events per Run/RunUntil; 0 = unlimited
+	// executed counts the events that ran; extra counts the further
+	// events they stood for (see Represent).
+	executed, extra uint64
+	budget          uint64 // max executed events per Run/RunUntil; 0 = unlimited
 }
 
 // New returns an empty engine at simulated time zero.
@@ -104,8 +106,16 @@ func (e *Engine) Now() units.Time { return e.now }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return e.queued + len(e.zq) - e.zqHead }
 
-// Fired reports how many events have executed since construction.
-func (e *Engine) Fired() uint64 { return e.fired }
+// Fired reports how many events have fired since construction, counting
+// the events representatives stood for (see Represent).
+func (e *Engine) Fired() uint64 { return e.executed + e.extra }
+
+// Executed reports how many events have executed since construction.
+func (e *Engine) Executed() uint64 { return e.executed }
+
+// Represent records n further events that the event now firing stands for
+// without executing them: they count in Fired, not in Executed.
+func (e *Engine) Represent(n uint64) { e.extra += n }
 
 // SetEventBudget caps the number of events a single Run or RunUntil may
 // execute; the run returns an error when the cap is hit. Zero means
@@ -255,7 +265,7 @@ func (e *Engine) Step() bool {
 		panic(fmt.Sprintf("timeline: time ran backwards: %v -> %v", e.now, at))
 	}
 	e.now = at
-	e.fired++
+	e.executed++
 	if fn != nil {
 		fn()
 	} else {
@@ -267,9 +277,9 @@ func (e *Engine) Step() bool {
 // Run executes events until the queue drains. It returns the final
 // simulated time, or an error if the configured event budget was exceeded.
 func (e *Engine) Run() (units.Time, error) {
-	start := e.fired
+	start := e.executed
 	for e.Step() {
-		if e.budget > 0 && e.fired-start > e.budget {
+		if e.budget > 0 && e.executed-start > e.budget {
 			return e.now, fmt.Errorf("timeline: event budget %d exceeded at t=%v (likely a scheduling livelock)", e.budget, e.now)
 		}
 	}
@@ -281,10 +291,10 @@ func (e *Engine) Run() (units.Time, error) {
 // reached without draining. Like Run, it enforces the configured event
 // budget and returns an error when the cap is hit.
 func (e *Engine) RunUntil(deadline units.Time) (units.Time, error) {
-	start := e.fired
+	start := e.executed
 	for e.Pending() > 0 && e.peekAt() <= deadline {
 		e.Step()
-		if e.budget > 0 && e.fired-start > e.budget {
+		if e.budget > 0 && e.executed-start > e.budget {
 			return e.now, fmt.Errorf("timeline: event budget %d exceeded at t=%v (likely a scheduling livelock)", e.budget, e.now)
 		}
 	}

@@ -121,6 +121,22 @@ func TestEventBudget(t *testing.T) {
 	}
 }
 
+// TestRepresentedEvents: events a firing event stands for count in Fired
+// but not in Executed, and the budget bounds executed events only.
+func TestRepresentedEvents(t *testing.T) {
+	e := New()
+	e.SetEventBudget(10)
+	for i := 0; i < 10; i++ {
+		e.Schedule(units.Time(i), func() { e.Represent(1023) })
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("10 executed events tripped a budget of 10: %v", err)
+	}
+	if e.Executed() != 10 || e.Fired() != 10240 {
+		t.Errorf("Executed = %d, Fired = %d; want 10 and 10240", e.Executed(), e.Fired())
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []units.Time

@@ -56,11 +56,22 @@ type WorkloadSpec struct {
 // each time the trace is generated, so one spec can serve many sweep
 // cells.
 func (s WorkloadSpec) Workload() (Workload, error) {
-	if s.SizeBytes < 0 {
-		return nil, fmt.Errorf("astrasim: workload %q: negative size_bytes %d", s.Kind, s.SizeBytes)
-	}
-	if s.Iterations < 0 {
-		return nil, fmt.Errorf("astrasim: workload %q: negative iterations %d", s.Kind, s.Iterations)
+	// Zero selects a field's default; no field may be negative.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"size_bytes", float64(s.SizeBytes)}, {"iterations", float64(s.Iterations)},
+		{"params", s.Params}, {"layers", float64(s.Layers)}, {"hidden", float64(s.Hidden)},
+		{"seq_len", float64(s.SeqLen)}, {"micro_batch", float64(s.MicroBatch)},
+		{"bytes_per_elem", float64(s.BytesPerElem)}, {"mp", float64(s.MP)},
+		{"stages", float64(s.Stages)}, {"micro_batches", float64(s.MicroBatches)},
+		{"flops_per_stage", s.FlopsPerStage}, {"activation_bytes", float64(s.ActivationBytes)},
+		{"grad_bytes", float64(s.GradBytes)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("astrasim: workload %q: negative %s %g", s.Kind, f.name, f.v)
+		}
 	}
 	size := s.SizeBytes
 	if size == 0 {

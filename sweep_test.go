@@ -182,6 +182,48 @@ func TestNegativeWorkloadSpecRejectedUpFront(t *testing.T) {
 	}
 }
 
+// TestNegativeWorkloadParamsRejected: every numeric workload field is
+// range-checked when the spec is materialized, and the error names the
+// field; zero still selects the default.
+func TestNegativeWorkloadParamsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		doc, field string
+	}{
+		{`{"kind":"transformer","params":-1}`, "params"},
+		{`{"kind":"transformer","layers":-1}`, "layers"},
+		{`{"kind":"fsdp","hidden":-1024}`, "hidden"},
+		{`{"kind":"fsdp","seq_len":-2048}`, "seq_len"},
+		{`{"kind":"transformer","micro_batch":-1}`, "micro_batch"},
+		{`{"kind":"threed","bytes_per_elem":-2}`, "bytes_per_elem"},
+		{`{"kind":"transformer","mp":-8}`, "mp"},
+		{`{"kind":"pipeline","stages":-2}`, "stages"},
+		{`{"kind":"threed","micro_batches":-4}`, "micro_batches"},
+		{`{"kind":"pipeline","flops_per_stage":-1e12}`, "flops_per_stage"},
+		{`{"kind":"pipeline","activation_bytes":-1}`, "activation_bytes"},
+		{`{"kind":"pipeline","grad_bytes":-1}`, "grad_bytes"},
+	} {
+		var ws WorkloadSpec
+		if err := json.Unmarshal([]byte(tc.doc), &ws); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.Workload(); err == nil || !strings.Contains(err.Error(), "negative "+tc.field+" ") {
+			t.Errorf("%s: Workload() = %v, want an error naming negative %s", tc.doc, err, tc.field)
+		}
+	}
+	for _, doc := range []string{
+		`{"kind":"transformer","params":0,"layers":0,"hidden":0,"seq_len":0,"micro_batch":0,"bytes_per_elem":0,"mp":0}`,
+		`{"kind":"pipeline","stages":0,"micro_batches":0,"flops_per_stage":0,"activation_bytes":0,"grad_bytes":0}`,
+	} {
+		var ws WorkloadSpec
+		if err := json.Unmarshal([]byte(doc), &ws); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.Workload(); err != nil {
+			t.Errorf("%s: zero fields rejected: %v", doc, err)
+		}
+	}
+}
+
 // TestCSVQuotesNames: user-supplied names (machines, jobs, trace-path
 // workloads) may contain quotes and commas; every result's CSV must still
 // parse as RFC 4180 and round-trip them, with numbers unchanged.

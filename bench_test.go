@@ -8,14 +8,21 @@ package astrasim
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/collective"
+	"repro/internal/compute"
+	"repro/internal/et"
+	"repro/internal/etgen"
 	"repro/internal/experiments"
 	"repro/internal/garnet"
+	"repro/internal/memory"
 	"repro/internal/network"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/timeline"
 	"repro/internal/topology"
@@ -113,6 +120,60 @@ func BenchmarkFig11(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCluster co-simulates four 32-NPU jobs (two GPT-3, an in-switch
+// MoE-1T and DLRM, layer counts / 8) with strided placement on a shared
+// oversubscribed R(4)_FC(4)_SW(8,4) fabric and hierarchical memory pool,
+// under a straggler and a spine degradation. It reports the events the
+// engine executed per run and the events it fired, which adds those it
+// represented without executing them.
+func BenchmarkCluster(b *testing.B) {
+	fabric, err := topology.ParseWithBandwidth("R(4)_FC(4)_SW(8,4)", []float64{200, 100, 50}, 500*units.Nanosecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gpt3 := etgen.GPT3()
+	gpt3.Layers /= 8
+	moe := etgen.MoE1T(true)
+	moe.Layers /= 8
+	gens := []cluster.TraceFunc{
+		func(top *topology.Topology) (*et.Trace, error) { return etgen.Transformer(top, gpt3) },
+		func(top *topology.Topology) (*et.Trace, error) { return etgen.Transformer(top, gpt3) },
+		func(top *topology.Topology) (*et.Trace, error) { return etgen.MoETrace(top, moe) },
+		func(top *topology.Topology) (*et.Trace, error) { return etgen.DLRMTrace(top, etgen.DLRM()) },
+	}
+	cfg := cluster.Config{
+		Fabric:  fabric,
+		Compute: compute.A100(),
+		Memory: memory.System{
+			Local:   memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
+			HasPool: true,
+			Pool: memory.PoolConfig{
+				Design: memory.Hierarchical, NumNodes: 16, GPUsPerNode: 8, NumOutSwitches: 8,
+				NumRemoteGroups: 16, RemoteGroupBW: units.GBps(100), GPUSideOutFabricBW: units.GBps(100),
+				InNodeFabricBW: units.GBps(256),
+			},
+		},
+		Placement: cluster.Strided,
+		Scenario: &scenario.Scenario{Events: []scenario.Event{
+			{Kind: scenario.StraggleNPU, NPU: 5, Factor: 1.3},
+			{At: 10 * units.Millisecond, Kind: scenario.DegradeLink, Dim: 2, Factor: 0.25},
+			{At: 30 * units.Millisecond, Kind: scenario.RestoreLink, Dim: 2},
+		}},
+	}
+	for j, gen := range gens {
+		cfg.Jobs = append(cfg.Jobs, cluster.JobConfig{Name: fmt.Sprintf("job%d", j), NPUs: 32, Trace: gen})
+	}
+	var res *cluster.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = cluster.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Executed), "executed/op")
+	b.ReportMetric(float64(res.Events), "fired/op")
 }
 
 // BenchmarkHierMemSweep regenerates the full 8x5 design-space sweep (E7).

@@ -33,8 +33,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/collective"
@@ -46,26 +48,34 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig4|speedup|tableiv|fig9a|fig9b|fig11|taxonomy|ablation|pools|fabrics|search|interference|resilience|all)")
-	reduced := flag.Bool("reduced", false, "shrink workloads for a quick pass")
-	parallel := flag.Int("parallel", 0, "sweep worker count; 0 = all cores (results identical for any value)")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a heap allocation profile to this file at exit")
-	flag.Parse()
-
-	if err := prof.Start(*cpuprofile, *memprofile); err != nil {
-		fatal(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "paper:", err)
+		os.Exit(1)
 	}
-	defer prof.Stop()
+}
 
-	// One cache for the whole invocation: grids that overlap (e.g. the
-	// Fig. 11 baseline inside its own sweep) simulate shared cells once.
-	o := experiments.Options{
-		Reduced: *reduced,
-		Exec:    sweep.Exec{Workers: *parallel, Cache: sweep.NewCache()},
+// runner prints one experiment's result to w, as JSON when jsonOut is set.
+type runner func(w io.Writer, o experiments.Options, jsonOut bool) error
+
+// run executes one command line, printing results to stdout; flag errors
+// and usage go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run (fig4|speedup|tableiv|fig9a|fig9b|fig11|taxonomy|ablation|pools|fabrics|search|interference|resilience|all)")
+	reduced := fs.Bool("reduced", false, "shrink workloads for a quick pass")
+	parallel := fs.Int("parallel", 0, "sweep worker count; 0 = all cores (results identical for any value)")
+	jsonOut := fs.Bool("json", false, "emit results as JSON instead of tables")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap allocation profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	runners := map[string]func(experiments.Options, bool) error{
+
+	runners := map[string]runner{
 		"fig4":         runFig4,
 		"speedup":      runSpeedup,
 		"tableiv":      runTableIV,
@@ -81,174 +91,176 @@ func main() {
 		"resilience":   runResilience,
 	}
 	order := []string{"fig4", "speedup", "tableiv", "fig9a", "fig9b", "fig11", "taxonomy", "ablation", "pools", "fabrics", "search", "interference", "resilience"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			if err := runners[name](o, *jsonOut); err != nil {
-				fatal(err)
-			}
+	if *exp != "all" {
+		if _, ok := runners[*exp]; !ok {
+			return fmt.Errorf("unknown experiment %q", *exp)
 		}
-		return
+		order = []string{*exp}
 	}
-	r, ok := runners[*exp]
-	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q", *exp))
+
+	if err := prof.Start(*cpuprofile, *memprofile); err != nil {
+		return err
 	}
-	if err := r(o, *jsonOut); err != nil {
-		fatal(err)
+	defer prof.Stop()
+
+	// One cache for the whole invocation: grids that overlap (e.g. the
+	// Fig. 11 baseline inside its own sweep) simulate shared cells once.
+	o := experiments.Options{
+		Reduced: *reduced,
+		Exec:    sweep.Exec{Workers: *parallel, Cache: sweep.NewCache()},
 	}
+	for _, name := range order {
+		if err := runners[name](stdout, o, *jsonOut); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paper:", err)
-	prof.Stop() // os.Exit skips defers; flush any active profile capture
-	os.Exit(1)
-}
-
-func header(s string) {
-	fmt.Printf("\n## %s\n\n", s)
+func header(w io.Writer, s string) {
+	fmt.Fprintf(w, "\n## %s\n\n", s)
 }
 
 // emitJSON prints one experiment's result as a JSON document.
-func emitJSON(name string, v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, name string, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(map[string]any{"experiment": name, "result": v})
 }
 
-func runFig4(o experiments.Options, jsonOut bool) error {
+func runFig4(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Fig4(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("fig4", res)
+		return emitJSON(w, "fig4", res)
 	}
-	header("Fig. 4 — analytical backend validation (All-Reduce on NVLink rings)")
-	fmt.Printf("%-6s %-10s %14s %14s %10s\n", "NPUs", "Size", "Reference", "Analytical", "Error")
+	header(w, "Fig. 4 — analytical backend validation (All-Reduce on NVLink rings)")
+	fmt.Fprintf(w, "%-6s %-10s %14s %14s %10s\n", "NPUs", "Size", "Reference", "Analytical", "Error")
 	for _, r := range res.Rows {
-		fmt.Printf("%-6d %-10s %12.1fus %12.1fus %9.1f%%\n",
+		fmt.Fprintf(w, "%-6d %-10s %12.1fus %12.1fus %9.1f%%\n",
 			r.NPUs, r.Size, r.Reference.Micros(), r.Analytical.Micros(), r.ErrorPct)
 	}
-	fmt.Printf("\nmean |error| = %.2f%%   (paper: 5%%)\n", res.MeanAbsErrorPct)
+	fmt.Fprintf(w, "\nmean |error| = %.2f%%   (paper: 5%%)\n", res.MeanAbsErrorPct)
 	return nil
 }
 
-func runSpeedup(o experiments.Options, jsonOut bool) error {
+func runSpeedup(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Speedup(units.MB, o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("speedup", res)
+		return emitJSON(w, "speedup", res)
 	}
-	header("Sec. IV-C — analytical vs cycle-level backend (1 MB All-Reduce)")
-	fmt.Printf("4x4x4 torus:\n")
-	fmt.Printf("  cycle-level:  wall %-14v sim %v (%d cycles)\n", res.CycleWall, res.CycleSimTime, res.CycleCycles)
-	fmt.Printf("  analytical:   wall %-14v sim %v\n", res.AnalyticalWall, res.AnalyticalSimTime)
-	fmt.Printf("  wall-clock speedup: %.0fx   (paper: 756x)\n", res.SpeedupSmall)
-	fmt.Printf("  simulated-time disagreement: %.2f%%\n", res.SimTimeAgreementPct)
-	fmt.Printf("16x16x16 torus (4096 NPUs), analytical only:\n")
-	fmt.Printf("  wall %v, sim %v   (paper: 3.14 s wall)\n", res.AnalyticalWallLarge, res.AnalyticalSimLarge)
+	header(w, "Sec. IV-C — analytical vs cycle-level backend (1 MB All-Reduce)")
+	fmt.Fprintf(w, "4x4x4 torus:\n")
+	fmt.Fprintf(w, "  cycle-level:  wall %-14v sim %v (%d cycles)\n", res.CycleWall, res.CycleSimTime, res.CycleCycles)
+	fmt.Fprintf(w, "  analytical:   wall %-14v sim %v\n", res.AnalyticalWall, res.AnalyticalSimTime)
+	fmt.Fprintf(w, "  wall-clock speedup: %.0fx   (paper: 756x)\n", res.SpeedupSmall)
+	fmt.Fprintf(w, "  simulated-time disagreement: %.2f%%\n", res.SimTimeAgreementPct)
+	fmt.Fprintf(w, "16x16x16 torus (4096 NPUs), analytical only:\n")
+	fmt.Fprintf(w, "  wall %v, sim %v   (paper: 3.14 s wall)\n", res.AnalyticalWallLarge, res.AnalyticalSimLarge)
 	return nil
 }
 
-func runTableIV(o experiments.Options, jsonOut bool) error {
+func runTableIV(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.TableIV(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("tableiv", res)
+		return emitJSON(w, "tableiv", res)
 	}
-	header("Table IV — 1 GB All-Gather under wafer scaling")
-	fmt.Printf("%-10s %6s %8s %8s %8s %8s %14s\n", "System", "NPUs", "Dim1MB", "Dim2MB", "Dim3MB", "Dim4MB", "Collective")
+	header(w, "Table IV — 1 GB All-Gather under wafer scaling")
+	fmt.Fprintf(w, "%-10s %6s %8s %8s %8s %8s %14s\n", "System", "NPUs", "Dim1MB", "Dim2MB", "Dim3MB", "Dim4MB", "Collective")
 	for _, r := range res.Rows {
-		fmt.Printf("%-10s %6d %8.1f %8.1f %8.1f %8.1f %12.2fus\n",
+		fmt.Fprintf(w, "%-10s %6d %8.1f %8.1f %8.1f %8.1f %12.2fus\n",
 			r.System, r.NPUs,
 			r.TrafficPerDim[0], r.TrafficPerDim[1], r.TrafficPerDim[2], r.TrafficPerDim[3],
 			r.CollectiveTime.Micros())
 	}
 	base, _ := res.Row("Base-512")
 	best, _ := res.Row("W-2048")
-	fmt.Printf("\npeak wafer speedup: %.2fx at W-2048   (paper: 2.51x, bounce at W-4096)\n",
+	fmt.Fprintf(w, "\npeak wafer speedup: %.2fx at W-2048   (paper: 2.51x, bounce at W-4096)\n",
 		float64(base.CollectiveTime)/float64(best.CollectiveTime))
 	return nil
 }
 
-func printCells(cells []experiments.Cell, withPolicy bool) {
-	fmt.Printf("%-16s %-10s %-9s %12s %12s %12s\n", "Workload", "System", "Scheduler", "Compute", "ExposedComm", "Total")
+func printCells(w io.Writer, cells []experiments.Cell, withPolicy bool) {
+	fmt.Fprintf(w, "%-16s %-10s %-9s %12s %12s %12s\n", "Workload", "System", "Scheduler", "Compute", "ExposedComm", "Total")
 	for _, c := range cells {
 		pol := c.Policy.String()
 		if !withPolicy {
 			pol = "-"
 		}
-		fmt.Printf("%-16s %-10s %-9s %10.2fms %10.2fms %10.2fms\n",
+		fmt.Fprintf(w, "%-16s %-10s %-9s %10.2fms %10.2fms %10.2fms\n",
 			c.Workload, c.System, pol,
 			c.Compute.Seconds()*1e3, c.ExposedComm.Seconds()*1e3, c.Total.Seconds()*1e3)
 	}
 }
 
-func runFig9a(o experiments.Options, jsonOut bool) error {
+func runFig9a(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Fig9a(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("fig9a", res)
+		return emitJSON(w, "fig9a", res)
 	}
-	header("Fig. 9(a) — wafer vs conventional systems, 512 NPUs")
+	header(w, "Fig. 9(a) — wafer vs conventional systems, 512 NPUs")
 	if o.Reduced {
-		fmt.Println("(reduced workloads: layer counts / 8; ratios preserved)")
+		fmt.Fprintln(w, "(reduced workloads: layer counts / 8; ratios preserved)")
 	}
-	printCells(res.Cells, true)
+	printCells(w, res.Cells, true)
 	return nil
 }
 
-func runFig9b(o experiments.Options, jsonOut bool) error {
+func runFig9b(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Fig9b(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("fig9b", res)
+		return emitJSON(w, "fig9b", res)
 	}
-	header("Fig. 9(b) — conventional scale-out vs wafer scale-up")
+	header(w, "Fig. 9(b) — conventional scale-out vs wafer scale-up")
 	if o.Reduced {
-		fmt.Println("(reduced workloads: layer counts / 8; ratios preserved)")
+		fmt.Fprintln(w, "(reduced workloads: layer counts / 8; ratios preserved)")
 	}
-	printCells(res.Cells, false)
+	printCells(w, res.Cells, false)
 	return nil
 }
 
-func runFig11(o experiments.Options, jsonOut bool) error {
+func runFig11(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Fig11(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("fig11", res)
+		return emitJSON(w, "fig11", res)
 	}
-	header("Table V / Fig. 11 — disaggregated memory systems (MoE-1T)")
-	fmt.Printf("%-20s %10s %12s %12s %12s %10s %10s\n",
+	header(w, "Table V / Fig. 11 — disaggregated memory systems (MoE-1T)")
+	fmt.Fprintf(w, "%-20s %10s %12s %12s %12s %10s %10s\n",
 		"System", "Compute", "Exp.Comm", "Exp.Remote", "Exp.Local", "Idle", "Total")
 	for _, b := range res.Bars {
-		fmt.Printf("%-20s %8.1fms %10.1fms %10.1fms %10.1fms %8.1fms %8.1fms\n",
+		fmt.Fprintf(w, "%-20s %8.1fms %10.1fms %10.1fms %10.1fms %8.1fms %8.1fms\n",
 			b.System,
 			b.Compute.Seconds()*1e3, b.ExposedComm.Seconds()*1e3,
 			b.ExposedRemoteMem.Seconds()*1e3, b.ExposedLocalMem.Seconds()*1e3,
 			b.ExposedIdle.Seconds()*1e3, b.Total.Seconds()*1e3)
 	}
-	fmt.Printf("\nZeRO-Infinity vs HierMem(baseline): %.2f%% apart   (paper: 0.1%%)\n", res.ZeroVsBaselinePct)
-	fmt.Printf("HierMem(opt) speedup over baseline: %.2fx          (paper: 4.6x)\n", res.SpeedupOptVsBaseline)
-	fmt.Printf("\nDesign-space sweep (in-node fabric GB/s x remote group GB/s):\n")
+	fmt.Fprintf(w, "\nZeRO-Infinity vs HierMem(baseline): %.2f%% apart   (paper: 0.1%%)\n", res.ZeroVsBaselinePct)
+	fmt.Fprintf(w, "HierMem(opt) speedup over baseline: %.2fx          (paper: 4.6x)\n", res.SpeedupOptVsBaseline)
+	fmt.Fprintf(w, "\nDesign-space sweep (in-node fabric GB/s x remote group GB/s):\n")
 	for _, p := range res.Sweep {
-		fmt.Printf("  in=%5.0f rem=%4.0f  total=%8.1fms\n", p.InNodeFabricGBps, p.RemoteGroupGBps, p.Total.Seconds()*1e3)
+		fmt.Fprintf(w, "  in=%5.0f rem=%4.0f  total=%8.1fms\n", p.InNodeFabricGBps, p.RemoteGroupGBps, p.Total.Seconds()*1e3)
 	}
 	return nil
 }
 
-func runTaxonomy(o experiments.Options, jsonOut bool) error {
+func runTaxonomy(w io.Writer, o experiments.Options, jsonOut bool) error {
 	examples := []struct{ spec, system string }{
 		{"R(4)_R(2)", "Google TPUv2/v3"},
 		{"SW(3)_SW(2)", "NVIDIA DGX-2 / DGX-A100"},
@@ -273,10 +285,10 @@ func runTaxonomy(o experiments.Options, jsonOut bool) error {
 			}
 			rows = append(rows, row{Notation: top.String(), NPUs: top.NumNPUs(), Platform: e.system})
 		}
-		return emitJSON("taxonomy", rows)
+		return emitJSON(w, "taxonomy", rows)
 	}
-	header("Fig. 3 / Table I — topology taxonomy")
-	fmt.Printf("%-20s %6s %-28s %s\n", "Notation", "NPUs", "Platform", "Per-dim collectives (Table I)")
+	header(w, "Fig. 3 / Table I — topology taxonomy")
+	fmt.Fprintf(w, "%-20s %6s %-28s %s\n", "Notation", "NPUs", "Platform", "Per-dim collectives (Table I)")
 	for _, e := range examples {
 		top, err := topology.Parse(e.spec)
 		if err != nil {
@@ -289,192 +301,192 @@ func runTaxonomy(o experiments.Options, jsonOut bool) error {
 			}
 			algs += d.Kind.CollectiveName()
 		}
-		fmt.Printf("%-20s %6d %-28s %s\n", top.String(), top.NumNPUs(), e.system, algs)
+		fmt.Fprintf(w, "%-20s %6d %-28s %s\n", top.String(), top.NumNPUs(), e.system, algs)
 	}
 	// Demonstrate the closed-form estimator across the examples.
-	fmt.Printf("\n64 MB All-Reduce estimates at 100 GB/s per dim:\n")
+	fmt.Fprintf(w, "\n64 MB All-Reduce estimates at 100 GB/s per dim:\n")
 	for _, e := range examples {
 		top, _ := topology.Parse(e.spec)
 		for i := range top.Dims {
 			top.Dims[i].Bandwidth = units.GBps(100)
 		}
 		est := collective.Estimate(top, collective.AllReduce, 64*units.MB, collective.FullMachine(top), collective.Baseline, 64)
-		fmt.Printf("  %-20s %10.1fus\n", top.String(), est.Micros())
+		fmt.Fprintf(w, "  %-20s %10.1fus\n", top.String(), est.Micros())
 	}
 	return nil
 }
 
-func runAblation(o experiments.Options, jsonOut bool) error {
+func runAblation(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Ablation(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("ablation", res)
+		return emitJSON(w, "ablation", res)
 	}
-	header("Ablation — chunk pipelining depth x scheduler (1 GB All-Reduce)")
-	fmt.Printf("%-10s %7s %-9s %14s %10s\n", "System", "Chunks", "Scheduler", "Collective", "Events")
+	header(w, "Ablation — chunk pipelining depth x scheduler (1 GB All-Reduce)")
+	fmt.Fprintf(w, "%-10s %7s %-9s %14s %10s\n", "System", "Chunks", "Scheduler", "Collective", "Events")
 	for _, r := range res.Rows {
-		fmt.Printf("%-10s %7d %-9s %12.2fus %10d\n",
+		fmt.Fprintf(w, "%-10s %7d %-9s %12.2fus %10d\n",
 			r.System, r.Chunks, r.Policy, r.Duration.Micros(), r.SimEvents)
 	}
-	fmt.Println("\n1 chunk = no cross-dimension pipelining (sum of phases); the default")
-	fmt.Println("64 chunks reaches the bottleneck-bound regime the paper's Table IV shows,")
-	fmt.Println("and gives Themis enough granularity to balance dimension loads.")
+	fmt.Fprintln(w, "\n1 chunk = no cross-dimension pipelining (sum of phases); the default")
+	fmt.Fprintln(w, "64 chunks reaches the bottleneck-bound regime the paper's Table IV shows,")
+	fmt.Fprintln(w, "and gives Themis enough granularity to balance dimension loads.")
 	return nil
 }
 
-func runPoolDesigns(o experiments.Options, jsonOut bool) error {
+func runPoolDesigns(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.PoolDesigns(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("pools", res)
+		return emitJSON(w, "pools", res)
 	}
-	header("Extension — Fig. 5 pool architectures under one bulk transfer")
-	fmt.Printf("%-28s %12s %14s\n", "Design", "Per-GPU", "Transfer")
+	header(w, "Extension — Fig. 5 pool architectures under one bulk transfer")
+	fmt.Fprintf(w, "%-28s %12s %14s\n", "Design", "Per-GPU", "Transfer")
 	for _, r := range res.Rows {
-		fmt.Printf("%-28s %12s %12.2fms\n", r.Design, r.PerGPU, r.Transfer.Seconds()*1e3)
+		fmt.Fprintf(w, "%-28s %12s %12.2fms\n", r.Design, r.PerGPU, r.Transfer.Seconds()*1e3)
 	}
-	fmt.Println("\nThe paper evaluates only the hierarchical design (Section V-B); this")
-	fmt.Println("grid quantifies the fabric-architecture effect Fig. 5 sketches, at equal")
-	fmt.Println("per-resource bandwidths.")
+	fmt.Fprintln(w, "\nThe paper evaluates only the hierarchical design (Section V-B); this")
+	fmt.Fprintln(w, "grid quantifies the fabric-architecture effect Fig. 5 sketches, at equal")
+	fmt.Fprintln(w, "per-resource bandwidths.")
 	return nil
 }
 
-func runFabrics(o experiments.Options, jsonOut bool) error {
+func runFabrics(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Fabrics(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("fabrics", res)
+		return emitJSON(w, "fabrics", res)
 	}
-	header("Extension — pluggable fabric comparison (512 NPUs, 500 GB/s configured per NPU)")
+	header(w, "Extension — pluggable fabric comparison (512 NPUs, 500 GB/s configured per NPU)")
 	if o.Reduced {
-		fmt.Println("(reduced workloads: layer counts / 8; ratios preserved)")
+		fmt.Fprintln(w, "(reduced workloads: layer counts / 8; ratios preserved)")
 	}
-	printCells(res.Cells, false)
-	fmt.Println("\nClosed-form 1 GB All-Reduce screening estimates:")
+	printCells(w, res.Cells, false)
+	fmt.Fprintln(w, "\nClosed-form 1 GB All-Reduce screening estimates:")
 	est := experiments.FabricEstimates()
 	for _, s := range experiments.FabricSystems() {
-		fmt.Printf("  %-10s %-18s %10.1fus\n", s.Name, s.Top.String(), est[s.Name].Micros())
+		fmt.Fprintf(w, "  %-10s %-18s %10.1fus\n", s.Name, s.Top.String(), est[s.Name].Micros())
 	}
-	fmt.Println("\nTorus vs ring-stack shows the single-fabric advantage; SW-Taper rows")
-	fmt.Println("price leaf-switch oversubscription against the flat switch hierarchy.")
+	fmt.Fprintln(w, "\nTorus vs ring-stack shows the single-fabric advantage; SW-Taper rows")
+	fmt.Fprintln(w, "price leaf-switch oversubscription against the flat switch hierarchy.")
 	return nil
 }
 
-func runInterference(o experiments.Options, jsonOut bool) error {
+func runInterference(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Interference(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("interference", res)
+		return emitJSON(w, "interference", res)
 	}
-	header("Extension — multi-job interference (128-NPU fabrics, 16-NPU jobs, packed placement)")
+	header(w, "Extension — multi-job interference (128-NPU fabrics, 16-NPU jobs, packed placement)")
 	if o.Reduced {
-		fmt.Println("(reduced workloads: layer counts / 8; ratios preserved)")
+		fmt.Fprintln(w, "(reduced workloads: layer counts / 8; ratios preserved)")
 	}
 	counts := experiments.InterferenceJobCounts()
-	fmt.Printf("%-12s %-12s %12s", "Fabric", "Workload", "Isolated")
+	fmt.Fprintf(w, "%-12s %-12s %12s", "Fabric", "Workload", "Isolated")
 	for _, n := range counts {
-		fmt.Printf(" %9s", fmt.Sprintf("x%d jobs", n))
+		fmt.Fprintf(w, " %9s", fmt.Sprintf("x%d jobs", n))
 	}
-	fmt.Println("   (mean slowdown vs isolated)")
+	fmt.Fprintln(w, "   (mean slowdown vs isolated)")
 	for _, sys := range []string{"SW-Flat", "SW-Taper4", "Torus-Pods"} {
 		for _, wl := range experiments.InterferenceWorkloads() {
 			first, err := res.Cell(sys, wl, counts[0])
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s %-12s %10.3fms", sys, wl, first.Isolated.Micros()/1000)
+			fmt.Fprintf(w, "%-12s %-12s %10.3fms", sys, wl, first.Isolated.Micros()/1000)
 			for _, n := range counts {
 				c, err := res.Cell(sys, wl, n)
 				if err != nil {
 					return err
 				}
-				fmt.Printf(" %8.3fx", c.MeanSlowdown)
+				fmt.Fprintf(w, " %8.3fx", c.MeanSlowdown)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Println("\nDLRM's All-to-All saturates the 4:1 spine as jobs pile on; GPT-3's")
-	fmt.Println("hierarchical All-Reduce barely touches it. Torus pods isolate the")
-	fmt.Println("network entirely — only the shared memory pool slows MoE down.")
+	fmt.Fprintln(w, "\nDLRM's All-to-All saturates the 4:1 spine as jobs pile on; GPT-3's")
+	fmt.Fprintln(w, "hierarchical All-Reduce barely touches it. Torus pods isolate the")
+	fmt.Fprintln(w, "network entirely — only the shared memory pool slows MoE down.")
 	return nil
 }
 
-func runResilience(o experiments.Options, jsonOut bool) error {
+func runResilience(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.Resilience(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("resilience", res)
+		return emitJSON(w, "resilience", res)
 	}
-	header("Extension — failure/straggler resilience (128-NPU fabrics, slowdown vs clean run)")
+	header(w, "Extension — failure/straggler resilience (128-NPU fabrics, slowdown vs clean run)")
 	if o.Reduced {
-		fmt.Println("(reduced workloads: layer counts / 8; ratios preserved)")
+		fmt.Fprintln(w, "(reduced workloads: layer counts / 8; ratios preserved)")
 	}
 	scens := experiments.ResilienceScenarios()
-	fmt.Printf("%-12s %-12s %12s", "Fabric", "Workload", "Clean")
+	fmt.Fprintf(w, "%-12s %-12s %12s", "Fabric", "Workload", "Clean")
 	for _, sc := range scens {
-		fmt.Printf(" %13s", sc)
+		fmt.Fprintf(w, " %13s", sc)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, sys := range []string{"SW-Flat", "Torus-Pods"} {
 		for _, wl := range experiments.ResilienceWorkloads() {
 			first, err := res.Cell(sys, wl, scens[0])
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s %-12s %10.3fms", sys, wl, first.Clean.Micros()/1000)
+			fmt.Fprintf(w, "%-12s %-12s %10.3fms", sys, wl, first.Clean.Micros()/1000)
 			for _, sc := range scens {
 				c, err := res.Cell(sys, wl, sc)
 				if err != nil {
 					return err
 				}
-				fmt.Printf(" %12.3fx", c.Slowdown)
+				fmt.Fprintf(w, " %12.3fx", c.Slowdown)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Println("\nThe clean column is the built-in regression check: an attached scenario")
-	fmt.Println("with zero events reproduces the unperturbed run byte for byte (exactly")
-	fmt.Println("1.000x). Degrading the spine taxes DLRM's All-to-All hardest, and a")
-	fmt.Println("single 1.3x straggler costs as much as 5% of them: synchronous training")
-	fmt.Println("gates every step on the slowest member, not on how many lag.")
+	fmt.Fprintln(w, "\nThe clean column is the built-in regression check: an attached scenario")
+	fmt.Fprintln(w, "with zero events reproduces the unperturbed run byte for byte (exactly")
+	fmt.Fprintln(w, "1.000x). Degrading the spine taxes DLRM's All-to-All hardest, and a")
+	fmt.Fprintln(w, "single 1.3x straggler costs as much as 5% of them: synchronous training")
+	fmt.Fprintln(w, "gates every step on the slowest member, not on how many lag.")
 	return nil
 }
 
-func runSearch(o experiments.Options, jsonOut bool) error {
+func runSearch(w io.Writer, o experiments.Options, jsonOut bool) error {
 	res, err := experiments.FabricSearch(o)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return emitJSON("search", res)
+		return emitJSON(w, "search", res)
 	}
-	header("Extension — multi-fidelity design-space search (fabrics x provisioning, GPT-3; scores in us)")
+	header(w, "Extension — multi-fidelity design-space search (fabrics x provisioning, GPT-3; scores in us)")
 	if o.Reduced {
-		fmt.Println("(reduced workloads: layer counts / 8; ratios preserved)")
+		fmt.Fprintln(w, "(reduced workloads: layer counts / 8; ratios preserved)")
 	}
-	if err := res.Halving.WriteTable(os.Stdout); err != nil {
+	if err := res.Halving.WriteTable(w); err != nil {
 		return err
 	}
-	fmt.Printf("\nexhaustive baseline: %d full simulations, best %s\n",
+	fmt.Fprintf(w, "\nexhaustive baseline: %d full simulations, best %s\n",
 		res.Exhaustive.Simulations, res.Exhaustive.Best.Label)
 	verdict := "RECOVERED"
 	if !res.Recovered {
 		verdict = "MISSED"
 	}
-	fmt.Printf("budgeted search %s the exhaustive optimum simulating %.0f%% of the %d-point space\n",
+	fmt.Fprintf(w, "budgeted search %s the exhaustive optimum simulating %.0f%% of the %d-point space\n",
 		verdict, 100*res.SimFraction, res.Space)
-	fmt.Println("\nThe halving strategy screens every candidate with the closed-form")
-	fmt.Println("All-Reduce estimate and runs the event engine only on the top quartile —")
-	fmt.Println("the guided-search workflow the sweep grids exist to support.")
+	fmt.Fprintln(w, "\nThe halving strategy screens every candidate with the closed-form")
+	fmt.Fprintln(w, "All-Reduce estimate and runs the event engine only on the top quartile —")
+	fmt.Fprintln(w, "the guided-search workflow the sweep grids exist to support.")
 	return nil
 }

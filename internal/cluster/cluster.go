@@ -144,6 +144,11 @@ type Config struct {
 	// events to the job owning the rank — and jobs untouched by any event
 	// run byte-identical to an isolated clean run.
 	Scenario *scenario.Scenario
+
+	// arbitrateAll makes every job's flow controller arbitrate all of its
+	// dimensions, unshared ones included, so tests can check that skipping
+	// the unshared ones changes nothing.
+	arbitrateAll bool
 }
 
 // JobPlacement is one job's slot in a planned layout.
@@ -543,12 +548,18 @@ func (st *fabricState) flowFinished(job, dim int) {
 }
 
 // jobFlows adapts one job's network backend to the shared fabricState —
-// it implements network.FlowController.
+// it implements network.FlowController. It arbitrates only the job's
+// shared dimensions (all of them with all set): flows elsewhere always see
+// factor 1.
 type jobFlows struct {
 	st  *fabricState
 	job int
+	all bool
 }
 
+func (f *jobFlows) Arbitrates(dim int) bool {
+	return f.all || f.st.layout.Jobs[f.job].SharedDims[dim]
+}
 func (f *jobFlows) FlowStarted(dim int) float64 { return f.st.flowStarted(f.job, dim) }
 func (f *jobFlows) FlowFinished(dim int)        { f.st.flowFinished(f.job, dim) }
 
@@ -605,8 +616,12 @@ type Result struct {
 	Jobs      []JobResult
 	// Makespan is the time the last job finished.
 	Makespan units.Time
-	// Events is the total number of discrete events fired across all jobs.
+	// Events is the total number of discrete events fired across all jobs,
+	// counting those a collapsed job or an unarbitrated flow represents
+	// without executing.
 	Events uint64
+	// Executed is how many of Events the engine executed.
+	Executed uint64
 }
 
 // translateScenario projects a fabric-relative scenario onto one job's
@@ -680,7 +695,7 @@ func Run(cfg Config) (*Result, error) {
 		// Jobs that share nothing get no arbitration hooks at all: their
 		// event stream is byte-identical to an isolated run.
 		if jp.SharedAny() {
-			ccfg.FlowController = &jobFlows{st: fabric, job: j}
+			ccfg.FlowController = &jobFlows{st: fabric, job: j, all: cfg.arbitrateAll}
 		}
 		ccfg.Scenario = translateScenario(cfg.Scenario, jp)
 		if pool != nil {
@@ -704,7 +719,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Placement: cfg.Placement, Events: eng.Fired()}
+	res := &Result{Placement: cfg.Placement, Events: eng.Fired(), Executed: eng.Executed()}
 	for j, job := range cfg.Jobs {
 		stats, err := sims[j].Finalize()
 		if err != nil {

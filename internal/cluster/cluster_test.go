@@ -10,6 +10,7 @@ import (
 	"repro/internal/et"
 	"repro/internal/etgen"
 	"repro/internal/memory"
+	"repro/internal/scenario"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -430,6 +431,102 @@ func TestRunErrors(t *testing.T) {
 	for _, name := range Placements() {
 		if _, err := ParsePlacement(name); err != nil {
 			t.Errorf("listed placement %q does not parse: %v", name, err)
+		}
+	}
+}
+
+// mixedConfig co-schedules a transformer, an in-switch MoE and a
+// four-stage pipeline on 32 NPUs each, and DLRM on 16, on
+// R(4)_FC(4)_SW(8,4) with a shared hierarchical pool. Every job is alone
+// on its ring and fully-connected instances; the 32-NPU jobs share the
+// switch, so their flow controllers arbitrate dim 2 only, and DLRM, which
+// never reaches the switch, gets none.
+func mixedConfig(placement Placement, sc *scenario.Scenario) Config {
+	model := etgen.TransformerConfig{Name: "tiny", Params: 2e9, Layers: 2, Hidden: 1024, SeqLen: 256,
+		MicroBatch: 1, BytesPerElem: 2, MP: 4}
+	moe := etgen.MoEConfig{Name: "moe", Layers: 2, LayerParamBytes: 64 * units.MB,
+		ShardBytes: 8 * units.MB, A2ABytes: 4 * units.MB, FlopsPerLayer: 1e11, UseInSwitch: true}
+	gens := map[string]TraceFunc{
+		"transformer": func(top *topology.Topology) (*et.Trace, error) { return etgen.Transformer(top, model) },
+		"moe":         func(top *topology.Topology) (*et.Trace, error) { return etgen.MoETrace(top, moe) },
+		"dlrm":        func(top *topology.Topology) (*et.Trace, error) { return etgen.DLRMTrace(top, etgen.DLRM()) },
+		"pipeline": func(top *topology.Topology) (*et.Trace, error) {
+			return etgen.Pipeline(top, etgen.PipelineConfig{Name: "pp", Stages: 4, MicroBatches: 2,
+				FlopsPerStage: 1e11, ActivationBytes: units.MB, GradBytes: 8 * units.MB})
+		},
+	}
+	cfg := Config{
+		Fabric: topology.MustNew(
+			topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(200), Latency: 500 * units.Nanosecond},
+			topology.Dim{Kind: topology.FullyConnected, Size: 4, Bandwidth: units.GBps(100), Latency: 500 * units.Nanosecond},
+			topology.Dim{Kind: topology.OversubscribedSwitch(4), Size: 8, Bandwidth: units.GBps(50), Latency: 500 * units.Nanosecond},
+		),
+		Compute: compute.A100(),
+		Memory: memory.System{
+			Local:   memory.LocalModel{Latency: units.Microsecond, Bandwidth: units.GBps(2039)},
+			HasPool: true,
+			Pool: memory.PoolConfig{
+				Design: memory.Hierarchical, NumNodes: 16, GPUsPerNode: 8,
+				NumOutSwitches: 4, NumRemoteGroups: 8,
+				RemoteGroupBW: units.GBps(100), GPUSideOutFabricBW: units.GBps(100),
+				InNodeFabricBW: units.GBps(256),
+			},
+		},
+		Chunks:    8,
+		Placement: placement,
+		Seed:      3,
+		Scenario:  sc,
+	}
+	for _, name := range []string{"transformer", "moe", "dlrm", "pipeline"} {
+		npus := 32
+		if name == "dlrm" {
+			npus = 16
+		}
+		cfg.Jobs = append(cfg.Jobs, JobConfig{Name: name, NPUs: npus, Trace: gens[name]})
+	}
+	return cfg
+}
+
+// TestUnsharedFlowsSkipFinishEvents: flows on dimensions no other job
+// shares schedule no flow-finish event. Against runs whose controllers
+// arbitrate every dimension, under every placement, with and without a
+// scenario, the result — Events included — must not change, while the
+// engine executes fewer events than it reports.
+func TestUnsharedFlowsSkipFinishEvents(t *testing.T) {
+	perturbed := &scenario.Scenario{Events: []scenario.Event{
+		{Kind: scenario.StraggleNPU, NPU: 5, Factor: 1.3},
+		{At: 50 * units.Microsecond, Kind: scenario.DegradeLink, Dim: 0, Factor: 0.5},
+		{At: 100 * units.Microsecond, Kind: scenario.DegradeLink, Dim: 2, Factor: 0.25},
+		{At: 200 * units.Microsecond, Kind: scenario.FailNPU, NPU: 70, Recovery: 100 * units.Microsecond},
+		{At: 400 * units.Microsecond, Kind: scenario.RestoreLink, Dim: 2},
+	}}
+	for _, p := range []Placement{Packed, Strided, Random} {
+		for _, sc := range []*scenario.Scenario{nil, perturbed} {
+			t.Run(fmt.Sprintf("%v/scenario=%v", p, sc != nil), func(t *testing.T) {
+				cfg := mixedConfig(p, sc)
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.arbitrateAll = true
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, jp := range got.Jobs {
+					if jp.Stats.Makespan <= 0 {
+						t.Fatalf("job %s did not run", jp.Name)
+					}
+				}
+				ran, all := got.Executed, want.Executed
+				got.Executed, want.Executed = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("skipping unshared flow-finish events changed the result")
+				}
+				if ran >= got.Events || ran >= all {
+					t.Errorf("executed %d of %d events; arbitrating every dimension executes %d", ran, got.Events, all)
+				}
+			})
 		}
 	}
 }

@@ -13,7 +13,10 @@
 // it — synchronous-training semantics.
 //
 // Symmetric runs are collapsed: when every rank shares one template and
-// nothing tells ranks apart, Start drives rank 0 alone. Each collective
+// nothing tells ranks apart — no point-to-point nodes, scenario events,
+// flow controller, remote-pool arbiter or recorded timeline — Start drives
+// rank 0 alone. A memory pool without an arbiter keeps no state, so pool
+// accesses and fused in-switch collectives collapse too. Each collective
 // launches for every block of its layout (collective.StartRepresentative)
 // and each event counts once per rank or block it stands for, so RunStats
 // are the full machine's. Where same-instant ties could reach blocks in
@@ -154,7 +157,8 @@ type RunStats struct {
 	// TrafficPerDim is the per-NPU mean sent+received bytes per physical
 	// dimension across the whole run.
 	TrafficPerDim []units.ByteSize
-	// Events is the number of discrete events executed.
+	// Events is the number of discrete events fired, counting those a
+	// collapsed run or a skipped flow-finish event represents.
 	Events uint64
 	// Timeline holds each NPU's attributed activity intervals when
 	// Config.RecordTimeline is set (idle spans are omitted).
@@ -414,7 +418,7 @@ func (s *Simulator) Start(trace *et.Trace, at units.Time) error {
 func (s *Simulator) symmetric(tmpls []*graphTemplate) bool {
 	c := s.cfg
 	ok := !s.forceFull && (c.Scenario == nil || len(c.Scenario.Events) == 0) &&
-		c.FlowController == nil && c.RemoteArbiter == nil && !c.Memory.HasPool && !c.RecordTimeline
+		c.FlowController == nil && c.RemoteArbiter == nil && !c.RecordTimeline
 	for _, t := range tmpls {
 		ok = ok && t == tmpls[0]
 	}
@@ -877,8 +881,9 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 		// pool model's W is the per-GPU pre-gather shard, so an
 		// All-Gather whose members each end with CommBytes contributes
 		// CommBytes/|group| per GPU (and symmetrically for the
-		// reduce-on-store direction).
-		shard := units.ByteSize(n.CommBytes) / units.ByteSize(len(p.members))
+		// reduce-on-store direction). |group| is the layout's size, not
+		// the members present: a collapsed run brings rank 0 alone.
+		shard := units.ByteSize(n.CommBytes) / units.ByteSize(p.group.Size())
 		if shard < 1 {
 			shard = 1
 		}
@@ -893,6 +898,7 @@ func (s *Simulator) launchCollective(p *pendingCollective, n *et.Node) {
 		}
 		start := s.eng.Now()
 		s.eng.Schedule(dur, func() {
+			s.eng.Represent(uint64(copies - 1))
 			if arb != nil {
 				arb.RemoteFinished()
 			}

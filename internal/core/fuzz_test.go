@@ -29,8 +29,10 @@ var fuzzShapes = []struct {
 // FuzzSymmetricCollapse builds a random single-template DAG of compute,
 // memory and collective nodes — collectives on the whole machine or on
 // random strided span layouts, several of them sharing a physical
-// dimension — and requires the collapsed run to match the full run byte
-// for byte while executing no more events. Ties make many of these runs
+// dimension — on a machine with no memory pool or a pool of any design,
+// which serves the remote loads and stores and, where it is switch-based,
+// fuses the in-switch collectives. It requires the collapsed run to match
+// the full run byte for byte while executing no more events. Ties make many of these runs
 // re-simulate in full, so the target mostly checks that every collapsed
 // run the divergence checks let through is exact.
 func FuzzSymmetricCollapse(f *testing.F) {
@@ -87,6 +89,9 @@ func FuzzSymmetricCollapse(f *testing.F) {
 		cfg.Chunks = []int{1, 4, 16}[next(3)]
 		if themis {
 			cfg.Policy = collective.Themis
+		}
+		if d := next(len(poolDesigns) + 1); d < len(poolDesigns) {
+			cfg = withPool(cfg, testPool(poolDesigns[d]))
 		}
 		got, want, ranGot, ranWant, how := bothPaths(t, cfg, trace)
 		if how == ranFull {

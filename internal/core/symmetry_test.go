@@ -114,7 +114,51 @@ func symmetryWorkloads(t *testing.T, top *topology.Topology, mp int) map[string]
 		}
 		out[name+"x2"] = tr
 	}
+	out[poolGroups] = poolGroupsTrace(top)
 	return out
+}
+
+// poolGroups names the trace of poolGroupsTrace.
+const poolGroups = "pool-groups"
+
+// poolGroupsTrace loads from and stores to the remote pool around in-switch
+// collectives on the innermost and outermost dimensions and the whole
+// machine, beside a network All-Reduce on the innermost dimension.
+func poolGroupsTrace(top *topology.Topology) *et.Trace {
+	dim := func(d int) *et.GroupRef {
+		return &et.GroupRef{Spans: []et.SpanRef{{Phys: d, K: top.Dims[d].Size, Stride: 1}}}
+	}
+	inner, outer := dim(0), dim(top.NumDims()-1)
+	nodes := []*et.Node{
+		{ID: 1, Kind: et.KindMemory, MemOp: et.MemLoad, MemLocation: et.MemRemote, TensorBytes: 16 << 20},
+		{ID: 2, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 8 << 20, InSwitch: true, Group: inner, Deps: []int{1}},
+		{ID: 3, Kind: et.KindCompute, FLOPs: 2e10, Deps: []int{2}},
+		{ID: 4, Kind: et.KindComm, Collective: et.CollReduceScatter, CommBytes: 24 << 20, InSwitch: true, Group: outer, Deps: []int{3}},
+		{ID: 5, Kind: et.KindComm, Collective: et.CollAllReduce, CommBytes: 4 << 20, Group: inner, Deps: []int{3}},
+		{ID: 6, Kind: et.KindComm, Collective: et.CollAllGather, CommBytes: 32 << 20, InSwitch: true, Deps: []int{4}},
+		{ID: 7, Kind: et.KindMemory, MemOp: et.MemStore, MemLocation: et.MemRemote, TensorBytes: 8 << 20, Deps: []int{5, 6}},
+	}
+	return symmetricTrace(top.NumNPUs(), func(int) []*et.Node { return nodes })
+}
+
+// poolDesigns lists every memory pool design.
+var poolDesigns = []memory.PoolDesign{
+	memory.Hierarchical, memory.MultiLevelSwitch, memory.RingPool, memory.MeshPool, memory.PrivatePerGPU,
+}
+
+// testPool returns a 16-GPU pool of the given design.
+func testPool(d memory.PoolDesign) memory.PoolConfig {
+	return memory.PoolConfig{
+		Design: d, NumNodes: 4, GPUsPerNode: 4, NumOutSwitches: 2,
+		NumRemoteGroups: 4, ChunkSize: units.MiB, RemoteGroupBW: units.GBps(100),
+		GPUSideOutFabricBW: units.GBps(100), InNodeFabricBW: units.GBps(256),
+	}
+}
+
+// withPool attaches pool to cfg's memory system.
+func withPool(cfg Config, pool memory.PoolConfig) Config {
+	cfg.Memory.HasPool, cfg.Memory.Pool = true, pool
+	return cfg
 }
 
 // TestSymmetricCollapseMatchesFull runs every generator on hierarchical,
@@ -122,6 +166,9 @@ func symmetryWorkloads(t *testing.T, top *topology.Topology, mp int) map[string]
 // both schedulers, collapsed and in full, and requires byte-identical run
 // statistics. Traces without point-to-point nodes must collapse; GPT-3 on
 // dimension-aligned MP and DP groups must do so without a full re-run.
+// The traces that reach the remote pool also run on a pool of every
+// design, where the switch-based ones fuse in-switch collectives on
+// whole-machine and sub-group layouts.
 func TestSymmetricCollapseMatchesFull(t *testing.T) {
 	for _, m := range []struct {
 		spec string
@@ -146,21 +193,30 @@ func TestSymmetricCollapseMatchesFull(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%v", m.spec, name, policy), func(t *testing.T) {
 					cfg := testConfig(t, top)
 					cfg.Policy, cfg.Chunks = policy, 16
-					got, want, ranGot, ranWant, how := bothPaths(t, cfg, tr)
-					if !bytes.Equal(got, want) {
-						t.Fatalf("collapsed run differs from the full run:\n%s\n%s", got, want)
+					check := func(t *testing.T, cfg Config) {
+						got, want, ranGot, ranWant, how := bothPaths(t, cfg, tr)
+						if !bytes.Equal(got, want) {
+							t.Fatalf("collapsed run differs from the full run:\n%s\n%s", got, want)
+						}
+						if p2p := name == "threed" || name == "pipeline" || name == "pipelinex2"; (how == ranFull) != p2p {
+							t.Errorf("ran %s; trace has point-to-point nodes: %v", how, p2p)
+						}
+						if name == "gpt3" && m.aligned && how != ranCollapsed {
+							t.Errorf("GPT-3 on aligned groups ran %s", how)
+						}
+						// A lone whole-machine collective has nothing to collapse;
+						// every other trace here computes on every rank.
+						lone := len(tr.Graphs[0].Nodes) == 1
+						if how == ranCollapsed && (ranGot > ranWant || !lone && ranGot == ranWant) {
+							t.Errorf("collapsed run executed %d events, full run %d", ranGot, ranWant)
+						}
 					}
-					if p2p := name == "threed" || name == "pipeline" || name == "pipelinex2"; (how == ranFull) != p2p {
-						t.Errorf("ran %s; trace has point-to-point nodes: %v", how, p2p)
+					check(t, cfg)
+					if name != "moe" && name != "moe-inswitch" && name != poolGroups {
+						return
 					}
-					if name == "gpt3" && m.aligned && how != ranCollapsed {
-						t.Errorf("GPT-3 on aligned groups ran %s", how)
-					}
-					// A lone whole-machine collective has nothing to collapse;
-					// every other trace here computes on every rank.
-					lone := len(tr.Graphs[0].Nodes) == 1
-					if how == ranCollapsed && (ranGot > ranWant || !lone && ranGot == ranWant) {
-						t.Errorf("collapsed run executed %d events, full run %d", ranGot, ranWant)
+					for _, d := range poolDesigns {
+						t.Run(d.String(), func(t *testing.T) { check(t, withPool(cfg, testPool(d))) })
 					}
 				})
 			}
@@ -236,42 +292,67 @@ func TestRepeatedTraceStaysSymmetric(t *testing.T) {
 	}
 }
 
-// TestCollapseStaysEngaged guards the collapse's reach: GPT-3 on 8192 NPUs
-// must report the full machine's event count while executing only rank
-// 0's share of it.
+// TestCollapseStaysEngaged guards the collapse's reach: GPT-3 on 8192 NPUs,
+// with and without a memory pool, must report the full machine's event
+// count while executing only rank 0's share of it, and so must the
+// in-switch MoE on the pool.
 func TestCollapseStaysEngaged(t *testing.T) {
 	top, err := topology.ParseWithBandwidth("R(4)_FC(4)_SW(512)", []float64{200, 100, 50}, 500*units.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := etgen.Transformer(top, etgen.GPT3())
+	gpt3, err := etgen.Transformer(top, etgen.GPT3())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(testConfig(t, top))
+	moe, err := etgen.MoETrace(top, etgen.MoE1T(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := sim.Run(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Events != 51931136 {
-		t.Errorf("Events = %d, want the full machine's 51931136", stats.Events)
-	}
-	if ran, how := sim.eng.Executed(), executedAs(sim); ran >= 100000 || how != ranCollapsed {
-		t.Errorf("ran %s, executing %d events; want collapsed, under 100000", how, ran)
+	pooled := withPool(testConfig(t, top), testPool(memory.Hierarchical))
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		trace  *et.Trace
+		events uint64 // the full machine's count; 0 to check only the ratio
+	}{
+		{"gpt3", testConfig(t, top), gpt3, 51931136},
+		{"gpt3-pool", pooled, gpt3, 51931136},
+		{"moe-inswitch-pool", pooled, moe, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim, err := NewSimulator(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := sim.Run(c.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.events != 0 && stats.Events != c.events {
+				t.Errorf("Events = %d, want the full machine's %d", stats.Events, c.events)
+			}
+			ran, how := sim.eng.Executed(), executedAs(sim)
+			if how != ranCollapsed || ran >= 100000 || ran*50 > stats.Events {
+				t.Errorf("ran %s, executing %d of %d events; want collapsed, under 100000 and a fiftieth", how, ran, stats.Events)
+			}
+		})
 	}
 }
 
 // TestIneligibleRunsDoNotCollapse: a run with anything that tells ranks or
-// jobs apart executes every event it reports.
+// jobs apart executes every event it reports. A pool collapses unless a
+// remote arbiter shares it with other jobs.
 func TestIneligibleRunsDoNotCollapse(t *testing.T) {
 	top := topology.MustNew(
 		topology.Dim{Kind: topology.Ring, Size: 4, Bandwidth: units.GBps(200)},
 		topology.Dim{Kind: topology.Switch, Size: 4, Bandwidth: units.GBps(50)},
 	)
 	dlrm, err := etgen.DLRMTrace(top, etgen.DLRM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	moe, err := etgen.MoETrace(top, etgen.MoE1T(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,14 +373,10 @@ func TestIneligibleRunsDoNotCollapse(t *testing.T) {
 		{"flow-controller", func(c Config) Config { c.FlowController = nopFlows{}; return c }, dlrm},
 		{"timeline", func(c Config) Config { c.RecordTimeline = true; return c }, dlrm},
 		{"pool", func(c Config) Config {
-			c.Memory.HasPool = true
-			c.Memory.Pool = memory.PoolConfig{
-				Design: memory.Hierarchical, NumNodes: 4, GPUsPerNode: 4, NumOutSwitches: 2,
-				NumRemoteGroups: 4, ChunkSize: units.MiB, RemoteGroupBW: units.GBps(100),
-				GPUSideOutFabricBW: units.GBps(100), InNodeFabricBW: units.GBps(256),
-			}
+			c = withPool(c, testPool(memory.Hierarchical))
+			c.RemoteArbiter = nopArbiter{}
 			return c
-		}, dlrm},
+		}, moe},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sim, err := NewSimulator(c.cfg(base))
@@ -320,5 +397,12 @@ func TestIneligibleRunsDoNotCollapse(t *testing.T) {
 // nopFlows is a flow controller that never stretches a flow.
 type nopFlows struct{}
 
+func (nopFlows) Arbitrates(int) bool     { return true }
 func (nopFlows) FlowStarted(int) float64 { return 1 }
 func (nopFlows) FlowFinished(int)        {}
+
+// nopArbiter is a remote-pool arbiter that never stretches an access.
+type nopArbiter struct{}
+
+func (nopArbiter) RemoteStarted() float64 { return 1 }
+func (nopArbiter) RemoteFinished()        {}

@@ -101,19 +101,32 @@ func (o *linkOracle) send(now units.Time, src, dst, dim int, size units.ByteSize
 }
 
 // stubFlows is a flow controller whose contention factors follow a fixed
-// cycle, so the oracle can replay each factor the backend was given.
+// cycle, so the oracle can replay each factor the backend was given. It
+// arbitrates only the dimensions skip leaves out, and counts the flows it
+// is told about on the others in wrong.
 type stubFlows struct {
-	calls, finished int
-	last            float64
+	skip                   []bool
+	calls, finished, wrong int
+	last                   float64
 }
 
-func (f *stubFlows) FlowStarted(int) float64 {
+func (f *stubFlows) Arbitrates(dim int) bool { return !f.skip[dim] }
+
+func (f *stubFlows) FlowStarted(dim int) float64 {
+	if f.skip[dim] {
+		f.wrong++
+	}
 	f.calls++
 	f.last = []float64{1, 1.5, 1, 2.25}[f.calls%4]
 	return f.last
 }
 
-func (f *stubFlows) FlowFinished(int) { f.finished++ }
+func (f *stubFlows) FlowFinished(dim int) {
+	if f.skip[dim] {
+		f.wrong++
+	}
+	f.finished++
+}
 
 // testLayout is a partition given as spans of (dim, K, stride).
 type testLayout [][3]int
@@ -181,11 +194,21 @@ func blockFloorInterleaving(seed int64, mutant bool) string {
 	b.SetTransitCharging(transit)
 	var fc *stubFlows
 	if rng.Intn(2) == 0 {
-		fc = &stubFlows{}
+		fc = &stubFlows{skip: make([]bool, len(dims))}
+		for d := range fc.skip {
+			fc.skip[d] = rng.Intn(2) == 0
+		}
 		b.SetFlowController(fc)
 	}
-	factor := func() float64 {
+	// skipped counts the flows on unarbitrated dimensions: each must count
+	// in Fired without executing a flow-finish event.
+	skipped := uint64(0)
+	factor := func(dim int) float64 {
 		if fc == nil {
+			return 1
+		}
+		if fc.skip[dim] {
+			skipped++
 			return 1
 		}
 		return fc.last
@@ -242,13 +265,13 @@ func blockFloorInterleaving(seed int64, mutant bool) string {
 			mutate(dim, parts[li])
 			tr := traffic()
 			s, e := b.ReservePhase(parts[li], block, dim, tr)
-			ws, we := o.phase(now, members(li, block), dim, tr, factor())
+			ws, we := o.phase(now, members(li, block), dim, tr, factor(dim))
 			check(fmt.Sprintf("step %d layout %d block %d dim %d start", step, li, block, dim), s, ws)
 			check(fmt.Sprintf("step %d layout %d block %d dim %d end", step, li, block, dim), e, we)
 		case op < 10: // whole-machine phase
 			tr := traffic()
 			s, e := b.ReservePhase(Whole, 0, dim, tr)
-			ws, we := o.phase(now, all, dim, tr, factor())
+			ws, we := o.phase(now, all, dim, tr, factor(dim))
 			check(fmt.Sprintf("step %d whole dim %d start", step, dim), s, ws)
 			check(fmt.Sprintf("step %d whole dim %d end", step, dim), e, we)
 		case op < 13: // point-to-point send
@@ -262,7 +285,7 @@ func blockFloorInterleaving(seed int64, mutant bool) string {
 			b.SendOnDim(src, dst, dim, size, step,
 				func() { sentAt = eng.Now() },
 				func(Message) { arrivedAt = eng.Now() })
-			wantSent, wantArrive := o.send(now, src, dst, dim, size, factor(), transit)
+			wantSent, wantArrive := o.send(now, src, dst, dim, size, factor(dim), transit)
 			if _, err := eng.Run(); err != nil {
 				return err.Error()
 			}
@@ -316,6 +339,12 @@ func blockFloorInterleaving(seed int64, mutant bool) string {
 	if fc != nil && fc.finished != fc.calls {
 		return fmt.Sprintf("flow controller: %d flows started, %d finished", fc.calls, fc.finished)
 	}
+	if fc != nil && fc.wrong > 0 {
+		return fmt.Sprintf("flow controller: told of %d flow starts or ends on unarbitrated dimensions", fc.wrong)
+	}
+	if got := eng.Fired() - eng.Executed(); got != skipped {
+		return fmt.Sprintf("engine represents %d events, want one per flow on an unarbitrated dimension (%d)", got, skipped)
+	}
 	return ""
 }
 
@@ -323,8 +352,8 @@ func blockFloorInterleaving(seed int64, mutant bool) string {
 // (dimension floor, block floor, per-link overlay) against the per-link
 // oracle over seeded random interleavings of sub-group and whole-machine
 // phases, point-to-point sends with and without transit charging, NPU
-// stalls, bandwidth changes, a flow controller and availability queries on
-// 64-256 NPUs. Dropping block floors instead of settling them must be
+// stalls, bandwidth changes, a flow controller arbitrating some of the
+// dimensions and availability queries on 64-256 NPUs. Dropping block floors instead of settling them must be
 // caught, or the interleavings are too weak to guard settle.
 func TestBlockFloorsMatchPerLinkModel(t *testing.T) {
 	seeds := 200

@@ -83,7 +83,9 @@ type Backend struct {
 	// fc, when non-nil, arbitrates this backend's flows against flows on
 	// other backends sharing the same physical fabric (the multi-job
 	// cluster layer). Nil — the default — costs nothing on the hot path.
-	fc FlowController
+	// arbitrated[dim] caches fc.Arbitrates(dim).
+	fc         FlowController
+	arbitrated []bool
 
 	// bwScale[dim], when allocated, scales each dimension's effective link
 	// bandwidth (the scenario layer's degradation primitive); nil means
@@ -165,10 +167,19 @@ func (b *Backend) ensureLinks() {
 // FlowController observes dimension-level flow activity for cross-backend
 // bandwidth arbitration: several backends space-sharing one physical
 // fabric (co-scheduled training jobs) each report their flows to a shared
-// controller, which answers with the fair-sharing contention factor. Both
+// controller, which answers with the fair-sharing contention factor. All
 // calls happen on the single-threaded event engine, so implementations
 // need no locking.
+//
+// A flow on a dimension the controller does not arbitrate runs at factor 1
+// and reports nothing: its flow-finish event is not scheduled but
+// represented (timeline.Engine.Represent), so the engine's Fired count is
+// the same as if every dimension were arbitrated.
 type FlowController interface {
+	// Arbitrates reports whether flows on the backend's dimension dim are
+	// reported to the controller. It is read once, when the controller is
+	// attached, and must not change afterwards.
+	Arbitrates(dim int) bool
 	// FlowStarted reports a transfer starting on the backend's dimension
 	// dim. The returned factor (>= 1) divides the transfer's effective
 	// bandwidth; 1 leaves the transfer untouched, bit for bit.
@@ -181,7 +192,30 @@ type FlowController interface {
 // SetFlowController attaches a cross-backend flow arbiter; nil (the
 // default) disables arbitration and keeps the per-message hot path
 // allocation-free and byte-identical to an isolated backend.
-func (b *Backend) SetFlowController(fc FlowController) { b.fc = fc }
+func (b *Backend) SetFlowController(fc FlowController) {
+	b.fc, b.arbitrated = fc, nil
+	if fc != nil {
+		b.arbitrated = make([]bool, b.dims)
+		for d := range b.arbitrated {
+			b.arbitrated[d] = fc.Arbitrates(d)
+		}
+	}
+}
+
+// flowStarted reports a flow starting on dim to the flow controller and
+// returns its contention factor and whether its end must be reported
+// through a flowDone event. A flow the controller does not arbitrate
+// represents its flow-finish event instead.
+func (b *Backend) flowStarted(dim int) (factor float64, arbitrated bool) {
+	if b.fc == nil {
+		return 1, false
+	}
+	if !b.arbitrated[dim] {
+		b.eng.Represent(1)
+		return 1, false
+	}
+	return b.fc.FlowStarted(dim), true
+}
 
 // transferTime is the serialization time of size bytes on dim, stretched
 // by the dimension's bandwidth scale and then by the cross-backend
@@ -383,10 +417,7 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 			panic(fmt.Sprintf("network: SendOnDim(%d->%d, dim %d) endpoints differ in dim %d", src, dst, dim, i))
 		}
 	}
-	factor := 1.0
-	if b.fc != nil {
-		factor = b.fc.FlowStarted(dim)
-	}
+	factor, arbitrated := b.flowStarted(dim)
 	b.settle(dim)
 	var srcEnd, ready units.Time
 	if b.chargeTransit {
@@ -394,7 +425,7 @@ func (b *Backend) sendOnDim(src, dst, dim int, size units.ByteSize, tag int, sen
 	} else {
 		srcEnd, ready = b.reserve(src, dst, dim, size, factor)
 	}
-	if b.fc != nil {
+	if arbitrated {
 		// The flow occupies its links until the transfer is deliverable;
 		// report the end through a pooled typed event so fair shares are
 		// recomputed the instant it frees.

@@ -132,13 +132,11 @@ func (b *Backend) PhaseAvailability(part, block, dim int) units.Time {
 // advances the dimension floor, a block phase its block floor. Half the
 // traffic counts as sent and half as received, matching the paper's
 // per-dimension message-size accounting. With a flow controller attached,
-// the phase is one flow on the dimension: its serialization is stretched
-// by the contention factor and its end is reported through a typed event.
+// the phase is one flow on the dimension: where the controller arbitrates
+// it, its serialization is stretched by the contention factor and its end
+// is reported through a typed event.
 func (b *Backend) ReservePhase(part, block, dim int, perNPUTraffic units.ByteSize) (start, end units.Time) {
-	factor := 1.0
-	if b.fc != nil {
-		factor = b.fc.FlowStarted(dim)
-	}
+	factor, arbitrated := b.flowStarted(dim)
 	dur := b.transferTime(dim, perNPUTraffic, factor)
 	slot, busy, n := &b.dimFloor[dim], b.dimMaxLink[dim], b.npus
 	if part != Whole {
@@ -149,7 +147,7 @@ func (b *Backend) ReservePhase(part, block, dim int, perNPUTraffic units.ByteSiz
 	end = start + dur
 	*slot = end
 	b.dimMaxLink[dim] = max(b.dimMaxLink[dim], end)
-	if b.fc != nil {
+	if arbitrated {
 		b.eng.ScheduleActorAt(end, b.getFlowDone(dim))
 	}
 	b.stats.BytesPerDim[dim] += units.ByteSize(n) * (perNPUTraffic / 2)

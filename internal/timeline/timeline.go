@@ -113,8 +113,9 @@ func (e *Engine) Fired() uint64 { return e.executed + e.extra }
 // Executed reports how many events have executed since construction.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Represent records n further events that the event now firing stands for
-// without executing them: they count in Fired, not in Executed.
+// Represent records n further events that are counted without executing
+// them — the copies a representative event stands for, or an event the
+// model knows would do nothing: they count in Fired, not in Executed.
 func (e *Engine) Represent(n uint64) { e.extra += n }
 
 // SetEventBudget caps the number of events a single Run or RunUntil may
